@@ -222,8 +222,7 @@ def run_expand_segments(
 
 
 PIPELINE_HEADER = [
-    "engine", "shards", "workers", "chain", "streamed edges", "seconds",
-    "vs vector",
+    "engine", "shards", "workers", "chain", "seconds", "vs vector",
 ]
 
 
@@ -234,12 +233,12 @@ def run_pipeline(
     seed: int,
     records: list[dict] | None = None,
 ) -> list[list]:
-    """Time the streamed filter -> join -> group_by chain end to end.
+    """Time the filter -> join -> group_by chain end to end.
 
-    The whole chain compiles into one plan and the sharded engine streams
-    the inter-operator edges; the vector engine running the same chain
-    operator-at-a-time is the same-run baseline (``reference_seconds``),
-    so the artifact row gates the *streaming schedule*, not machine speed.
+    The whole chain compiles into one plan and runs one operator at a time
+    on the sharded engine; the vector engine running the same chain is the
+    same-run baseline (``reference_seconds``), so the artifact row gates
+    the sharded operators' schedule, not machine speed.
     """
     w = balanced_output(n, seed=seed)
     mask = [index % 3 != 0 for index in range(len(w.left))]
@@ -252,26 +251,24 @@ def run_pipeline(
     t_vector = time.perf_counter() - start
 
     chain = "filter>join>group_by"
-    rows = [["vector", "-", "-", chain, "-", f"{t_vector:.3f}s", "1.00x"]]
+    rows = [["vector", "-", "-", chain, f"{t_vector:.3f}s", "1.00x"]]
     for workers in workers_list:
         k = shards if shards is not None else max(2, workers)
         warm_pool(workers)
         engine = ShardedEngine(shards=k, workers=workers)
         start = time.perf_counter()
         result = engine.pipeline(stages)
-        t_streamed = time.perf_counter() - start
-        assert result.groups == expected.groups, "streamed diverges from vector"
+        t_sharded = time.perf_counter() - start
+        assert result.groups == expected.groups, "sharded diverges from vector"
         assert result.sizes == expected.sizes
-        edges = ",".join(edge for _, edge in result.stats.streamed_edges)
         rows.append(
             [
                 "sharded",
                 k,
                 workers,
                 chain,
-                edges,
-                f"{t_streamed:.3f}s",
-                f"{t_vector / t_streamed:.2f}x",
+                f"{t_sharded:.3f}s",
+                f"{t_vector / t_sharded:.2f}x",
             ]
         )
         if records is not None:
@@ -285,8 +282,7 @@ def run_pipeline(
                     "shards": k,
                     "workers": workers,
                     "chain": chain,
-                    "streamed_edges": edges,
-                    "seconds": t_streamed,
+                    "seconds": t_sharded,
                     "reference_seconds": t_vector,
                 }
             )
@@ -333,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--pipeline",
         action="store_true",
-        help="also time the streamed filter>join>group_by chain end to end "
+        help="also time the filter>join>group_by chain end to end "
         "(one whole-DAG row per worker count, workload=pipeline in the "
         "JSON artifact)",
     )
@@ -396,10 +392,8 @@ def main(argv: list[str] | None = None) -> int:
         report(
             "parallelism_pipeline",
             fmt_table(PIPELINE_HEADER, pipeline_rows)
-            + "\n\n(one compiled DAG per chain; the sharded rows stream the"
-            "\n inter-operator edges — downstream shard tasks dispatch as"
-            "\n upstream blocks complete — against the vector engine running"
-            "\n the same chain operator-at-a-time)",
+            + "\n\n(one compiled DAG per chain, run one operator at a time on"
+            "\n each engine; the sharded rows against the vector engine)",
         )
     if args.json:
         payload = {
@@ -492,13 +486,12 @@ def test_expand_segments_sweep_mode():
 
 
 def test_pipeline_smoke_mode():
-    """--pipeline emits one end-to-end chain row per worker count, streamed
+    """--pipeline emits one end-to-end chain row per worker count, sharded
     against the vector engine running the same chain, and its artifact
     records carry workload=pipeline with the same-run reference."""
     records: list[dict] = []
     rows = run_pipeline(256, [1, 2], shards=None, seed=3, records=records)
     assert len(rows) == 3 and rows[0][0] == "vector"
-    assert all(row[4] == "filter->join" for row in rows[1:])
     assert all(
         r["workload"] == "pipeline" and r["reference_seconds"] > 0
         for r in records

@@ -258,7 +258,8 @@ def exceeds_bound(true_size: int, target: int) -> None:
     if true_size > target:
         raise BoundError(
             f"true output size {true_size} exceeds the public padding bound "
-            f"{target}; raise the bound or use padding='worst_case'"
+            f"{target}; raise the bound or use padding='worst_case'",
+            true_size=true_size,
         )
 
 

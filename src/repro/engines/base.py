@@ -19,6 +19,7 @@ multi-process) to plug into.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Protocol, runtime_checkable
 
 from ..core.aggregate import GroupAggregate
@@ -28,13 +29,129 @@ from ..core.multiway import MultiwayResult
 from ..core.padding import check_padding, compact_pairs, join_bound
 from ..errors import InputError
 from ..memory.tracer import Tracer
-from ..plan.compile import compile_pipeline
-from ..plan.compile import compile_workload
+from ..plan.compile import PIPELINE_OPS, compile_pipeline, compile_workload
 from ..plan.ir import Plan
-from ..shard.pipeline import PipelineResult, PipelineStats, check_pipeline_stages
 
 #: A table in the paper's model: a list of ``(join_value, data_value)`` pairs.
 Pairs = list[tuple[int, int]]
+
+
+@dataclass
+class PipelineStats:
+    """Schedule record of one pipeline run.
+
+    ``plan`` is the full compiled DAG (every stage's sub-plan, chained) the
+    run consumed; ``sizes`` the revealed output size after every stage (the
+    source size first).
+    """
+
+    plan: Plan | None = None
+    sizes: list[int] = field(default_factory=list)
+
+
+@dataclass
+class PipelineResult:
+    """One pipeline's output: rows, or groups for group-by-terminal chains.
+
+    ``sizes`` mirrors ``stats.sizes`` (the revealed per-stage sizes — the
+    same values calling the operators one at a time reveals);
+    ``stats.plan`` is the executed DAG plan end to end.
+    """
+
+    rows: list[tuple] | None
+    groups: list[GroupAggregate] | None
+    sizes: list[int]
+    stats: PipelineStats
+
+    def __len__(self) -> int:
+        return len(self.groups if self.groups is not None else self.rows)
+
+
+def check_pipeline_stages(stages) -> list[tuple[str, dict]]:
+    """Validate engine-level stage descriptors; return the compile ops.
+
+    ``stages`` is a sequence of tuples: ``("source", rows)`` first, then
+    any of ``("filter", mask)`` (only immediately after the source),
+    ``("join", right_pairs)``, ``("multiway", rest_tables, keys)``,
+    ``("group_by",)`` (terminal) and ``("order_by", spec)`` where ``spec``
+    is ``[(column_index, ascending), ...]``.  Returns the shape-only
+    ``(name, params)`` descriptors :func:`repro.plan.compile.compile_pipeline`
+    consumes — every engine compiles the pipeline plan from these, so the
+    plan is a pure function of the stage *shapes*.
+    """
+    stages = list(stages)
+    if not stages or stages[0][0] != "source" or len(stages[0]) != 2:
+        raise InputError("a pipeline starts with one ('source', rows) stage")
+    if len(stages) < 2:
+        raise InputError("a pipeline needs at least one operator stage")
+    n = len(stages[0][1])
+    ops: list[tuple[str, dict]] = [("source", {"n": n})]
+    arity = 2
+    for index, stage in enumerate(stages[1:], start=1):
+        name = stage[0]
+        if name not in PIPELINE_OPS or name == "source":
+            raise InputError(
+                f"unknown pipeline stage {name!r} at position {index}"
+            )
+        if ops[-1][0] == "group_by":
+            raise InputError("group_by must be the final pipeline stage")
+        if name == "filter":
+            if index != 1:
+                raise InputError(
+                    "a pipeline filter must come immediately after the source"
+                )
+            if len(stage) != 2 or len(stage[1]) != n:
+                raise InputError(
+                    f"pipeline filter needs one mask cell per source row ({n})"
+                )
+            ops.append(("filter", {}))
+        elif name == "join":
+            if len(stage) != 2:
+                raise InputError("pipeline join stages are ('join', right_rows)")
+            if arity != 2:
+                raise InputError(
+                    f"pipeline join at position {index} needs (j, d) rows, "
+                    f"current rows have {arity} columns"
+                )
+            ops.append(("join", {"n2": len(stage[1])}))
+        elif name == "multiway":
+            if len(stage) != 3:
+                raise InputError(
+                    "pipeline multiway stages are ('multiway', tables, keys)"
+                )
+            tables, keys = list(stage[1]), list(stage[2])
+            if not tables or len(keys) != len(tables):
+                raise InputError(
+                    "pipeline multiway needs one key spec per extra table"
+                )
+            if arity != 2:
+                raise InputError(
+                    f"pipeline multiway at position {index} needs (j, d) rows"
+                )
+            ops.append(("multiway", {"sizes": [len(t) for t in tables]}))
+            arity = 2 * (1 + len(tables))
+        elif name == "group_by":
+            if len(stage) != 1:
+                raise InputError("pipeline group_by stages are ('group_by',)")
+            if arity != 2:
+                raise InputError(
+                    f"pipeline group_by at position {index} needs (j, d) rows"
+                )
+            ops.append(("group_by", {}))
+        else:  # order_by
+            if len(stage) != 2 or not list(stage[1]):
+                raise InputError(
+                    "pipeline order_by stages are ('order_by', spec) with at "
+                    "least one (column, ascending) key"
+                )
+            for column, _ in stage[1]:
+                if not 0 <= column < arity:
+                    raise InputError(
+                        f"order_by column {column} out of range at position "
+                        f"{index} (rows have {arity} columns)"
+                    )
+            ops.append(("order_by", {}))
+    return ops
 
 
 class PaddingOptionsMixin:
@@ -103,9 +220,10 @@ class PaddingOptionsMixin:
         ``ops`` are the shape-only stage descriptors
         (:data:`repro.plan.compile.PIPELINE_OPS`); the engine's own
         configuration fills in padding, bound and shard count unless
-        overridden.  The resulting DAG — every stage's sub-plan joined by
-        ``channel`` edge nodes — is a pure function of the stage shapes and
-        those options, never of the data flowing through the chain.
+        overridden.  The resulting DAG — every stage's sub-plan, each fed by
+        the previous stage's last node — is a pure function of the stage
+        shapes and those options, never of the data flowing through the
+        chain.
         """
         padding = overrides.get("padding", self.padding)
         bound = overrides.get("bound", self.bound)
@@ -127,18 +245,16 @@ class PaddingOptionsMixin:
     def pipeline(self, stages, tracer: Tracer | None = None) -> PipelineResult:
         """Run a whole operator chain, one operator at a time.
 
-        This is the *reference* pipeline semantics every engine shares:
-        each stage materialises fully before the next starts, calling the
+        The one pipeline runner, for every engine and padding mode: each
+        stage materialises fully before the next starts, calling the
         engine's own operator entry points, so the output is whatever the
-        single-operator differential suite already guarantees.  The sharded
-        engine overrides this with a streaming execution in revealed mode
-        and falls back here otherwise; ``tests/test_pipeline.py`` pins the
-        two paths bit-identical.
+        single-operator differential suite already guarantees and the
+        chain leaks exactly what its operators leak.
 
         ``stages`` is a list of data-carrying stage tuples — see
-        :func:`repro.shard.pipeline.check_pipeline_stages` for the
-        vocabulary.  Returns a :class:`~repro.shard.pipeline.PipelineResult`
-        whose ``stats.plan`` is the full compiled DAG.
+        :func:`check_pipeline_stages` for the vocabulary.  Returns a
+        :class:`PipelineResult` whose ``stats.plan`` is the full compiled
+        DAG.
         """
         ops = check_pipeline_stages(stages)
         stats = PipelineStats()

@@ -9,6 +9,9 @@ pluggable executor (:mod:`repro.plan.executors`) whose completed results
 reassembles the bit-identical result — runs fold in as their producing
 tasks finish, and the tournament's pairwise merges are themselves executor
 tasks, so no single-process barrier sits between the grid and the output.
+Operator chains (``pipeline``) run one operator at a time through the
+shared :meth:`~repro.engines.base.PaddingOptionsMixin.pipeline`, each
+stage on this engine's own sharded operators.
 
 Five knobs:
 
@@ -64,7 +67,6 @@ from ..shard.aggregate import sharded_group_by, sharded_join_aggregate
 from ..shard.join import sharded_oblivious_join
 from ..shard.join_tree import sharded_join_tree
 from ..shard.multiway import sharded_multiway_join
-from ..shard.pipeline import PipelineResult, PipelineStats, streamed_pipeline
 from ..shard.relational import sharded_filter_indices, sharded_order_permutation
 from .base import PaddingOptionsMixin, Pairs
 from .traced import traced_order_permutation
@@ -224,28 +226,3 @@ class ShardedEngine(PaddingOptionsMixin):
             )
         except InputError:
             return traced_order_permutation(columns, tracer=tracer)
-
-    def pipeline(
-        self, stages, tracer: Tracer | None = None
-    ) -> PipelineResult:
-        """Run the chain with streaming block channels between operators.
-
-        In revealed mode, inter-operator edges stream: a downstream shard
-        task dispatches the moment its upstream block completes
-        (:func:`repro.shard.pipeline.streamed_pipeline`), and on remote
-        executors the block's columns travel worker-to-worker through
-        shared memory without a parent round-trip.  Padded modes fall back
-        to the operator-at-a-time reference path — streaming per-block
-        completions would reveal exactly the sizes padding exists to hide.
-        Both paths return bit-identical rows/groups.
-        """
-        if self.padding != "revealed":
-            return super().pipeline(stages, tracer=tracer)
-        stats = PipelineStats()
-        return streamed_pipeline(
-            stages,
-            shards=self.shards,
-            workers=self.workers,
-            executor=self.executor,
-            stats=stats,
-        )

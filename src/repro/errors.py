@@ -31,8 +31,13 @@ class BoundError(InputError):
     join result is larger than the bound the caller declared public.  Note
     that *aborting is itself a one-bit leak* ("the result exceeded B") —
     callers who cannot afford it must use ``padding="worst_case"``, whose
-    bounds can never be exceeded.  See ``docs/leakage.md``.
+    bounds can never be exceeded.  See ``docs/leakage.md``.  ``true_size``
+    is the overflowing size the message names.
     """
+
+    def __init__(self, message: str, true_size: int | None = None) -> None:
+        super().__init__(message)
+        self.true_size = true_size
 
 
 class InjectivityError(InputError):

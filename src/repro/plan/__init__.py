@@ -58,7 +58,6 @@ from .executors import (
     host_unpublish,
     register_executor,
     resolve_executor,
-    run_tasks,
     shutdown_pools,
     shutdown_warm_executors,
     submit_task,
@@ -100,7 +99,6 @@ __all__ = [
     "partition_plan",
     "register_executor",
     "resolve_executor",
-    "run_tasks",
     "set_plan_memo",
     "shard_capacity",
     "shard_counts",

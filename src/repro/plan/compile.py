@@ -254,7 +254,11 @@ def sharded_join_plan(
     leaf_lengths: list[int] = []
     for i in range(k):
         for j in range(k):
-            cell_target = None if target is None else counts1[i] * counts2[j]
+            # A cell emits at most its cross product, and at most the
+            # query's whole output, which a padded run bounds by target.
+            cell_target = (
+                None if target is None else min(target, counts1[i] * counts2[j])
+            )
             cell = builder.add(
                 "grid_join",
                 inputs=(left_part, right_part),
@@ -874,7 +878,7 @@ def compile_pipeline(
     bound=None,
     expand_segments: int | None = None,
 ) -> Plan:
-    """Compile a whole query DAG into one Plan with streaming channel edges.
+    """Compile a whole query DAG into one Plan.
 
     ``ops`` is a sequence of ``(name, params)`` stage descriptors:
     ``("source", {"n": n})`` (always first), then any chain of
@@ -883,15 +887,14 @@ def compile_pipeline(
     tables), ``("group_by", {})`` and ``("order_by", {})``.
 
     Each operator stage is the per-workload compiler's sub-plan embedded
-    verbatim (``stage=s`` merged into every node), and consecutive stages
-    are connected by a ``channel`` node — the streaming block edge.  A
-    channel's attributes are the *public* block layout of the data crossing
-    it (``blocks``/``capacity``/``counts``/``rows``), straight from the
-    partition planner, so the whole DAG — including when a downstream
-    shard task may dispatch — is a pure function of
-    ``(stage shapes, k, bounds)``.  ``rows=None`` marks a size revealed at
-    run time (only ever downstream of a revealed-mode filter/join), which
-    is the same deliberate leak the operator-at-a-time path makes.
+    verbatim (``stage=s`` merged into every node), its first node taking
+    the previous stage's last node as input — the DAG describes exactly
+    what runs: the operators one at a time, each on the previous one's
+    output.  The whole DAG is a pure function of
+    ``(stage shapes, k, bounds)``.  A stage whose input size is only
+    revealed at run time (downstream of a revealed-mode filter/join)
+    compiles to a single ``*_deferred`` node with ``None`` sizes, which is
+    the same deliberate leak calling that operator on its own makes.
     """
     mode = check_padding(padding)
     padded = mode != "revealed"
@@ -944,23 +947,6 @@ def compile_pipeline(
     current: int | None = int(stages[0][1]["n"])
     prev = builder.add("input", side="pipeline", rows=current, stage=0)
     for stage_index, (name, params) in enumerate(stages[1:], start=1):
-        if current is None:
-            blocks = k if engine == "sharded" else 1
-            capacity, counts = None, None
-        elif engine == "sharded":
-            blocks = k
-            capacity, counts = partition_plan(current, k)
-        else:
-            blocks, capacity, counts = 1, current, (current,)
-        prev = builder.add(
-            "channel",
-            inputs=(prev,),
-            stage=stage_index,
-            blocks=blocks,
-            capacity=capacity,
-            counts=counts,
-            rows=current,
-        )
         if name == "filter":
             if current is None:
                 sub = _deferred_stage_plan(
@@ -1038,7 +1024,7 @@ def compile_pipeline(
                 sub = sharded_order_plan(current, k)
             else:
                 sub = inline_order_plan(engine, current)
-        embedded = builder.embed(sub, stage=stage_index)
+        embedded = builder.embed(sub, upstream=prev, stage=stage_index)
         prev = embedded[-1]
     builder.add("output", inputs=(prev,), rows=current)
     return builder.build()

@@ -1177,7 +1177,3 @@ def executor_stats() -> dict:
         "pinned_segments": host_published_count(),
     }
 
-
-def run_tasks(task: Callable, payloads: Sequence, workers: int = 1) -> list:
-    """Back-compat shim: map ``payloads`` under the default executor rule."""
-    return resolve_executor(None, workers=workers).map(task, payloads)

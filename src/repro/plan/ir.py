@@ -49,7 +49,9 @@ from .memo import memoised
 #: ``distribute_expand`` stab per node (sharded: ``join_tree_window``
 #: slot-space tasks feeding the merge bracket) and a final ``align_concat``
 #: — every attribute a pure function of ``(sizes, edges, k, padding, bound)``.
-PLAN_FORMAT = 5
+#: Format 6 drops pipeline ``channel`` nodes: each stage sub-plan's first
+#: node takes the previous stage's last node as its input.
+PLAN_FORMAT = 6
 
 
 def _freeze(value, context: str):
@@ -292,23 +294,31 @@ class PlanBuilder:
         )
         return len(self._nodes) - 1
 
-    def embed(self, plan: Plan, **extra_attrs) -> tuple[int, ...]:
+    def embed(
+        self, plan: Plan, upstream: int | None = None, **extra_attrs
+    ) -> tuple[int, ...]:
         """Inline another plan's nodes (e.g. one cascade step's join plan).
 
         Node indices are offset to stay valid; ``extra_attrs`` (typically
         ``step=s``) are merged into every embedded node so the flattened
-        DAG remains self-describing.  Returns the new indices.
+        DAG remains self-describing.  ``upstream``, a node already in this
+        builder, becomes the input of the embedded plan's first node — the
+        node every compiler emits first for the rows flowing in.  Returns
+        the new indices.
         """
         offset = len(self._nodes)
-        for node in plan.nodes:
+        for position, node in enumerate(plan.nodes):
             merged = dict(node.attrs)
             for name, value in extra_attrs.items():
                 merged[name] = _freeze(value, f"{node.op}.{name}")
+            inputs = tuple(i + offset for i in node.inputs)
+            if position == 0 and upstream is not None:
+                inputs = (upstream,)
             self._nodes.append(
                 OpNode(
                     op=node.op,
                     attrs=tuple(sorted(merged.items())),
-                    inputs=tuple(i + offset for i in node.inputs),
+                    inputs=inputs,
                 )
             )
         return tuple(range(offset, len(self._nodes)))

@@ -43,16 +43,19 @@ Leakage: the partition plans and every primitive schedule are functions of
 is a *finer* deliberate reveal than the single join's ``m`` (it localises
 output volume to position-block pairs) — the same trade the multiway
 cascade makes for intermediate sizes.  With ``target_m`` set, the grid is
-folded into the padded story: every task runs the padded vector join at
-its own public worst case ``real_i * real_j`` (a row pair cannot emit more
-than its cross product), and the merge tournament truncates every merged
-run at the public bound (*fused expand-truncate*: a row past position
-``target_m`` of a sorted run can never reach the first ``target_m`` rows
-of the final merge, so dropping it early is a public, data-independent
-cut — the run lengths stay functions of ``(n1, n2, k, target_m)``).  Task
-grid, schedule, and ``task_m`` all become functions of
-``(n1, n2, k, target_m)``; see :mod:`repro.plan.compile`,
-:mod:`repro.core.padding` and ``docs/leakage.md``.
+folded into the padded story: every cell runs the padded vector join at
+the public bound ``min(target_m, real_i * real_j)`` (a cell emits at most
+its cross product, and at most the query's whole output), and the merge
+tournament truncates every merged run at the public bound (*fused
+expand-truncate*: a row past position ``target_m`` of a sorted run can
+never reach the first ``target_m`` rows of the final merge, so dropping
+it early is a public, data-independent cut — the run lengths stay
+functions of ``(n1, n2, k, target_m)``).  Task grid, schedule, and
+``task_m`` all become functions of ``(n1, n2, k, target_m)``; see
+:mod:`repro.plan.compile`, :mod:`repro.core.padding` and
+``docs/leakage.md``.  A true output over ``target_m`` aborts with one
+:class:`~repro.errors.BoundError` naming the query's true size, whether
+one cell overflows its bound or the overflow is spread over cells.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from ..core.padding import (
     check_target_m,
     exceeds_bound,
 )
-from ..errors import InputError
+from ..errors import BoundError, InputError
 from ..plan.compile import sharded_join_plan
 from ..plan.executors import (
     Executor,
@@ -168,44 +171,47 @@ def _sort_task(payload) -> tuple[dict[str, np.ndarray], int]:
 
 
 def _join_task(payload) -> tuple[np.ndarray, dict[str, int]]:
-    """One grid cell: join a left shard with a right shard (worker side).
+    """One unpadded grid cell: join a left and a right shard (worker side).
 
     The payload carries padded column arrays plus the public real counts;
     slicing off the padding reveals nothing because the counts are part of
     the partition plan.  Returns the keyed ``(m_ij, 3)`` output run (sorted
-    by ``(j, left_rank, d2)``) and the task's comparator counts.  Under
-    padded execution ``task_target`` is the cell's public bound
-    ``lreal * rreal`` (a ``grid_join`` plan node) and the run comes back
-    padded to exactly that size.
+    by ``(j, left_rank, d2)``) and the task's comparator counts.
     """
-    lj, ld, lreal, rj, rd, rreal, task_target = resolve_payload(payload)
+    lj, ld, lreal, rj, rd, rreal = resolve_payload(payload)
     left = np.stack([lj[:lreal], ld[:lreal]], axis=1)
     right = np.stack([rj[:rreal], rd[:rreal]], axis=1)
-    keyed, stats = vector_oblivious_join(
-        left, right, with_keys=True, target_m=task_target
-    )
+    keyed, stats = vector_oblivious_join(left, right, with_keys=True)
     return keyed, dict(stats.comparisons_by_phase)
 
 
 def _expand_segment_task(payload):
     """One ``expand_segment`` plan node as an executor task (worker side).
 
-    Like :func:`_join_task` but producing only the cell's output window
-    ``[lo, hi)`` via :func:`~repro.vector.join.vector_join_segment` — a
-    contiguous slice of the cell's sorted keyed run, so it is a valid
-    tournament leaf as-is.  The worker applies the fused expand-truncate
-    bound *before* publishing (the parent cannot truncate a ref tree), and
-    counts the window's real rows pre-truncation so the parent's bound
-    check sees every over-bound row even though the merge truncates early.
-    Returns ``(run_or_refs, segment_name, comparisons, real_rows)`` with
-    the same publish contract as :func:`repro.shard.merge.merge_pair_task`.
+    Like :func:`_join_task` but padded to the cell's public bound
+    ``task_target`` (its ``grid_join`` plan node) and producing only the
+    output window ``[lo, hi)`` via
+    :func:`~repro.vector.join.vector_join_segment` — a contiguous slice of
+    the cell's sorted keyed run, so it is a valid tournament leaf as-is.
+    The worker applies the fused expand-truncate bound *before* publishing
+    (the parent cannot truncate a ref tree), and counts the window's real
+    rows pre-truncation so the parent's bound check sees every over-bound
+    row even though the merge truncates early.  Returns
+    ``(run_or_refs, segment_name, comparisons, real_rows)`` with the same
+    publish contract as :func:`repro.shard.merge.merge_pair_task`; a cell
+    whose true size overflows ``task_target`` returns
+    ``(None, None, {}, cell_true_size)`` instead of raising, so the parent
+    can name the query's true size in the abort.
     """
     lj, ld, lreal, rj, rd, rreal, task_target, lo, hi, truncate, publish = (
         resolve_payload(payload)
     )
     left = np.stack([lj[:lreal], ld[:lreal]], axis=1)
     right = np.stack([rj[:rreal], rd[:rreal]], axis=1)
-    keyed, stats = vector_join_segment(left, right, task_target, lo, hi)
+    try:
+        keyed, stats = vector_join_segment(left, right, task_target, lo, hi)
+    except BoundError as error:
+        return None, None, {}, error.true_size
     real_rows = int(np.count_nonzero(keyed[:, 1] >= 0))
     run = {
         "j": keyed[:, 0].copy(),
@@ -352,80 +358,10 @@ def sharded_oblivious_join(
     stats.plan = plan
 
     sorted_left = _sharded_rank_sort(left, shards, executor, stats)
-    # The grid's public bounds come from the plan, not from the data: one
-    # grid_join node per (i, j) cell, row-major — the same order as the
-    # payload list grid_join_payloads builds — and, under padded modes,
-    # that cell's expand_segment windows.
-    cell_targets = [node.attr("target") for node in plan.nodes_by_op("grid_join")]
-    segment_windows = (
-        expand_segment_windows(plan, shards) if target_m is not None else None
-    )
     pairs = run_join_grid(
-        sorted_left,
-        right,
-        shards,
-        executor,
-        stats,
-        target_m,
-        cell_targets,
-        segment_windows,
+        sorted_left, right, shards, executor, stats, plan, target_m
     )
     return pairs, stats
-
-
-def expand_segment_windows(plan: Plan, shards: int) -> list[list[tuple[int, int]]]:
-    """Per-cell ``[lo, hi)`` expansion windows from the plan, row-major.
-
-    The plan emits ``expand_segment`` nodes in cell order, segments in
-    window order within each cell, so appending preserves the contiguous
-    ``lo`` ordering the driver relies on.
-    """
-    windows: list[list[tuple[int, int]]] = [[] for _ in range(shards * shards)]
-    for node in plan.nodes_by_op("expand_segment"):
-        i, j = node.attr("cell")
-        windows[i * shards + j].append((node.attr("lo"), node.attr("hi")))
-    return windows
-
-
-def grid_join_payloads(
-    sorted_left: dict[str, np.ndarray],
-    right,
-    shards: int,
-    cell_targets,
-    stats: ShardedJoinStats,
-) -> list:
-    """Partition the ranked left table and the right side into the k*k grid.
-
-    ``sorted_left`` is the ``(j, d)``-sorted left table (the presort's
-    output); ranks are its positions.  Returns one ``_join_task`` payload
-    per grid cell, row-major, with the cells' public output bounds zipped
-    in from ``cell_targets`` (one per cell, ``None`` = unpadded).  This is
-    the seam the pipeline driver reuses to stream grid results into a
-    *different* consumer than the join's own output tournament.
-    """
-    start = time.perf_counter()
-    n1 = len(sorted_left["j"])
-    ranked_left = np.stack(
-        [sorted_left["j"], np.arange(n1, dtype=_INT)], axis=1
-    )
-    left_parts = partition_pairs(ranked_left, shards)
-    right_parts = partition_pairs(right, shards)
-    n2 = sum(part.real for part in right_parts)
-    # ranked_left is always resident (the presort materialised it), so its
-    # plan is the standard row-aligned one; the right side reports the
-    # block-aligned plan when it is store-backed.
-    stats.partition = (
-        pairs_partition_plan(ranked_left, shards),
-        pairs_partition_plan(right, shards),
-    )
-    payloads = [
-        (lp.j, lp.d, lp.real, rp.j, rp.d, rp.real, target)
-        for (lp, rp), target in zip(
-            ((lp, rp) for lp in left_parts for rp in right_parts), cell_targets
-        )
-    ]
-    stats.seconds_by_phase["partition"] = time.perf_counter() - start
-    return payloads
 
 
 def run_join_grid(
@@ -434,40 +370,65 @@ def run_join_grid(
     shards: int,
     executor: Executor,
     stats: ShardedJoinStats,
+    plan: Plan,
     target_m: int | None,
-    cell_targets,
-    segment_windows=None,
 ) -> np.ndarray:
-    """Run the k*k grid over ``executor`` and reassemble the join output.
+    """Run the plan's k*k grid over ``executor``; reassemble the join output.
 
-    The post-presort half of :func:`sharded_oblivious_join`, callable with
-    an externally produced ``sorted_left`` — the pipeline driver feeds it
-    the merged output of a *streamed* upstream stage (e.g. per-block
-    filtered runs) without materialising an intermediate table first.
-    Returns the ``(m, 2)`` pairs array.
+    The post-presort half of :func:`sharded_oblivious_join`.
+    ``sorted_left`` is the ``(j, d)``-sorted left table (the presort's
+    output); ranks are its positions.  Returns the ``(m, 2)`` pairs array.
 
-    ``segment_windows`` (per cell, row-major, from
-    :func:`expand_segment_windows`) switches the padded grid to segmented
-    expansion: every window dispatches as its own ``_expand_segment_task``
-    and its sorted sub-run is one tournament leaf, so no whole-cell
-    barrier exists between a skewed cell's expansion and the merge.
-    ``None`` (or unpadded execution, whose revealed cell sizes must not be
-    split at data-dependent points) runs whole cells.
+    Unpadded, every grid cell runs whole as one ``_join_task`` at its
+    revealed size.  Padded, every ``expand_segment`` node of the plan
+    dispatches as its own ``_expand_segment_task`` under its cell's
+    ``grid_join`` bound, and its sorted sub-run is one tournament leaf, so
+    no whole-cell barrier exists between a skewed cell's expansion and the
+    merge.
     """
-    payloads = grid_join_payloads(sorted_left, right, shards, cell_targets, stats)
-    segmented = segment_windows is not None and target_m is not None
-    if segmented:
+    start = time.perf_counter()
+    n1 = len(sorted_left["j"])
+    ranked_left = np.stack(
+        [sorted_left["j"], np.arange(n1, dtype=_INT)], axis=1
+    )
+    left_parts = partition_pairs(ranked_left, shards)
+    right_parts = partition_pairs(right, shards)
+    # ranked_left is always resident (the presort materialised it), so its
+    # plan is the standard row-aligned one; the right side reports the
+    # block-aligned plan when it is store-backed.
+    stats.partition = (
+        pairs_partition_plan(ranked_left, shards),
+        pairs_partition_plan(right, shards),
+    )
+    # Row-major, the same order as the plan's grid_join nodes.
+    cells = [
+        (lp.j, lp.d, lp.real, rp.j, rp.d, rp.real)
+        for lp in left_parts
+        for rp in right_parts
+    ]
+    stats.seconds_by_phase["partition"] = time.perf_counter() - start
+
+    if target_m is None:
+        task_payloads = cells
+    else:
         # Workers publish their sub-runs on remote executors, exactly like
         # the merge rounds: only ref trees cross back to the parent.
         publish = bool(getattr(executor, "remote_submit", False))
+        cell_targets = [
+            node.attr("target") for node in plan.nodes_by_op("grid_join")
+        ]
         task_payloads = []
-        windows_flat = []
-        for cell_payload, windows in zip(payloads, segment_windows):
-            for lo, hi in windows:
-                task_payloads.append((*cell_payload, lo, hi, target_m, publish))
-                windows_flat.append((lo, hi))
-    else:
-        task_payloads = payloads
+        task_cells = []
+        task_windows = []
+        for node in plan.nodes_by_op("expand_segment"):
+            i, j = node.attr("cell")
+            cell = i * shards + j
+            lo, hi = node.attr("lo"), node.attr("hi")
+            task_payloads.append(
+                (*cells[cell], cell_targets[cell], lo, hi, target_m, publish)
+            )
+            task_cells.append(cell)
+            task_windows.append((lo, hi))
 
     # Grid tasks stream into the merge tournament as they complete: the
     # bracket (and with it the comparator schedule) is fixed by the plan's
@@ -479,6 +440,7 @@ def run_join_grid(
     stats.task_comparisons = [{} for _ in task_payloads]
     stats.task_m = [0] * len(task_payloads)
     real_rows = 0
+    overflowed: dict[int, int] = {}
     counter = [0]
     tournament = StreamingTournament(
         len(task_payloads),
@@ -488,36 +450,33 @@ def run_join_grid(
         truncate=target_m,
     )
     try:
-        if segmented:
-            for index, (run, segment, comparisons, task_real) in completion_stream(
-                executor, _expand_segment_task, task_payloads
-            ):
-                stats.task_comparisons[index] = comparisons
-                lo, hi = windows_flat[index]
-                stats.task_m[index] = min(hi - lo, target_m)
-                # Bound-check input: counted worker-side from the window
-                # *before* the fused truncation, so streaming the merge
-                # early cannot hide over-bound rows (see _join_task's
-                # branch below).
-                real_rows += task_real
-                tournament.add_published(index, run, segment)
-        else:
+        if target_m is None:
             for index, (keyed, comparisons) in completion_stream(
                 executor, _join_task, task_payloads
             ):
                 stats.task_comparisons[index] = comparisons
                 stats.task_m[index] = len(keyed)
-                if target_m is not None:
-                    # Client-side bound check input (no trace impact):
-                    # every real row carries a rank >= 0, dummies carry
-                    # -1.  Counted from the untruncated grid outputs, so
-                    # streaming the (truncating) merge early cannot hide
-                    # over-bound rows.
-                    real_rows += int(np.count_nonzero(keyed[:, 1] >= 0))
                 tournament.add(
                     index,
                     {"j": keyed[:, 0], "d1": keyed[:, 1], "d2": keyed[:, 2]},
                 )
+        else:
+            for index, (run, segment, comparisons, task_real) in completion_stream(
+                executor, _expand_segment_task, task_payloads
+            ):
+                if run is None:
+                    # The whole cell overflowed its bound; every one of its
+                    # windows reports the cell's true size.
+                    overflowed[task_cells[index]] = task_real
+                    continue
+                stats.task_comparisons[index] = comparisons
+                lo, hi = task_windows[index]
+                stats.task_m[index] = min(hi - lo, target_m)
+                # Bound-check input: counted worker-side from the window
+                # *before* the fused truncation, so streaming the merge
+                # early cannot hide over-bound rows.
+                real_rows += task_real
+                tournament.add_published(index, run, segment)
         # Merge work executed eagerly inside add() (inline submits) is
         # tournament time, not grid time — split it out so the reported
         # merge phase covers the reassembly on every executor, not just
@@ -530,7 +489,10 @@ def run_join_grid(
 
         start = time.perf_counter()
         if target_m is not None:
-            exceeds_bound(real_rows, target_m)
+            # The query's true size, never one cell's: an overflowing cell
+            # already exceeds target_m on its own, so this always raises
+            # when any cell overflowed.
+            exceeds_bound(real_rows + sum(overflowed.values()), target_m)
         merged = tournament.result()
     except BaseException:
         tournament.close()

@@ -147,8 +147,8 @@ def test_engine_operations_share_one_tracer():
 
 def test_pipeline_runs_chain_and_exposes_full_dag_plan():
     """Regression: ``stats.plan`` must expose the *executed* DAG end to
-    end — every stage's operator nodes plus the streaming channel edges —
-    not just the final operator's sub-plan."""
+    end — every stage's operator nodes, chained stage to stage — not just
+    the final operator's sub-plan."""
     source = DBTable.from_rows(
         ["k:int", "v:int"], [(1, 10), (2, 20), (1, 30), (3, 40), (2, 50)]
     )
@@ -172,7 +172,7 @@ def test_pipeline_runs_chain_and_exposes_full_dag_plan():
         stages = plan.shape("stages")
         assert len(stages) == 4 and stages[0] == ("source", 5)
         ops = {node.op for node in plan.nodes}
-        assert "channel" in ops  # the streaming edges are first-class nodes
+        assert "channel" not in ops  # stages feed each other directly
         staged = {
             node.attr("stage")
             for node in plan.nodes

@@ -17,7 +17,6 @@ from repro.plan import (
     completion_stream,
     get_executor,
     resolve_executor,
-    run_tasks,
     submit_task,
 )
 from repro.plan.executors import (
@@ -74,16 +73,6 @@ def test_resolve_executor_default_rule():
     assert resolve_executor("async", workers=2).name == "async"
     with pytest.raises(InputError, match="worker count"):
         resolve_executor(None, workers=0)
-
-
-def test_run_tasks_shim_matches_inline():
-    payloads = [
-        ({"j": np.arange(4, dtype=np.int64), "d": np.ones(4, dtype=np.int64)}, 3, [i])
-        for i in range(5)
-    ]
-    assert run_tasks(_sum_task, payloads, workers=1) == [
-        _sum_task(p) for p in payloads
-    ]
 
 
 # -- transport ---------------------------------------------------------------

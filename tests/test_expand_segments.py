@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 from repro.core.padding import check_target_m
 from repro.engines import get_engine
-from repro.errors import InputError
+from repro.errors import BoundError, InputError
+from repro.plan.compile import sharded_join_plan
 from repro.plan.executors import (
     AsyncExecutor,
     InlineExecutor,
@@ -327,3 +328,89 @@ def test_randomized_segment_sweep_is_bit_identical():
                 expand_segments=segments,
             )
             assert pairs.tobytes() == oracle.tobytes(), (trial, segments)
+
+
+# -- the padded cell bound: min(target, cross product) ------------------------
+
+
+@pytest.mark.parametrize(
+    "n1, n2, k, target",
+    [(10, 7, 3, 5), (10, 7, 3, 70), (512, 1024, 2, 1024), (9, 9, 4, 0)],
+)
+def test_padded_cell_targets_never_exceed_the_query_target(n1, n2, k, target):
+    plan = sharded_join_plan(n1, n2, k, target)
+    cells = plan.nodes_by_op("grid_join")
+    assert len(cells) == k * k
+    for cell in cells:
+        bound = min(target, cell.attr("n1") * cell.attr("n2"))
+        assert cell.attr("target") == bound
+        windows = [
+            (node.attr("lo"), node.attr("hi"))
+            for node in plan.nodes_by_op("expand_segment")
+            if node.attr("cell") == cell.attr("cell")
+        ]
+        assert windows[0][0] == 0 and windows[-1][1] == bound
+
+
+def test_padded_plan_size_is_flat_in_n_at_a_fixed_bound_ratio():
+    """padded-join's shape, bound = 2 * n1: the grid no longer grows with
+    the cells' cross products (it compiled 128 expand_segment nodes at
+    n1 = 512 and 1,364 at n1 = 4096 when cells padded to them)."""
+    shapes = set()
+    for n1 in (512, 1024, 2048, 4096):
+        plan = sharded_join_plan(n1, 2 * n1, 2, 2 * n1)
+        shapes.add(
+            (
+                len(plan.nodes),
+                len(plan.nodes_by_op("expand_segment")),
+                len(plan.nodes_by_op("merge_pair")),
+            )
+        )
+    assert len(shapes) == 1
+    assert shapes.pop()[1:] == (4, 4)
+
+
+ALL_ZERO = [(0, v) for v in range(8)]
+
+#: (left, right, bound, true m).  "one-cell": left shard 0 (the four
+#: smallest ranked rows) meets right shard 0 in 16 rows against a cell
+#: bound of min(8, 16) = 8, and cell (1, 1) adds 2 more.  "spread-*": eight
+#: all-zero keys per side give four 16-row cells; at bound 8 every cell
+#: overflows, at bound 16 none does but their sum does.
+OVERFLOWS = {
+    "one-cell": (
+        [(0, 0), (0, 1), (0, 2), (0, 3), (5, 0), (10, 1), (11, 2), (12, 3)],
+        [(0, 0), (0, 1), (0, 2), (0, 3), (5, 4), (5, 5), (30, 6), (31, 7)],
+        8,
+        18,
+    ),
+    "spread-every-cell": (ALL_ZERO, ALL_ZERO, 8, 64),
+    "spread-no-cell": (ALL_ZERO, ALL_ZERO, 16, 64),
+}
+
+
+@pytest.mark.parametrize("segments", [None, 2])
+@pytest.mark.parametrize("shape", list(OVERFLOWS))
+def test_padded_overflow_names_the_query_size_and_leaves_the_engine_usable(
+    shape, segments, shm_leak_guard
+):
+    left, right, bound, true_m = OVERFLOWS[shape]
+    engine = get_engine(
+        "sharded",
+        shards=2,
+        workers=2,
+        executor="pool",
+        padding="bounded",
+        bound=bound,
+        expand_segments=segments,
+    )
+    with pytest.raises(
+        BoundError,
+        match=f"true output size {true_m} exceeds the public padding bound {bound}",
+    ):
+        engine.join(left, right)
+    small_left, small_right = [(0, 1), (1, 2), (2, 3)], [(0, 4), (2, 5), (2, 6)]
+    expected = get_engine("vector", padding="bounded", bound=bound).join(
+        small_left, small_right
+    )
+    assert engine.join(small_left, small_right).pairs == expected.pairs

@@ -443,7 +443,7 @@ def test_pipeline_plan_bytes_identical_across_adversarial_data():
     """The executed DAG plan is a pure function of (shapes, k) — skew,
     all-dup keys, and survivor patterns (mask content) change nothing."""
     from repro.engines import ShardedEngine
-    from repro.shard.pipeline import check_pipeline_stages
+    from repro.engines.base import check_pipeline_stages
 
     serialized = {
         ShardedEngine(shards=3)
@@ -485,99 +485,35 @@ def test_pipeline_plan_digest_depends_on_shapes_k_and_bounds():
     assert one.digest() != padded.compile_pipeline(base).digest()
 
 
-def test_pipeline_plan_has_channel_nodes_between_every_stage():
+def test_pipeline_plan_chains_stage_sub_plans_directly():
+    """The plan describes only what runs: each stage's sub-plan is embedded
+    verbatim, its first node fed by the previous stage's last node, with
+    no ``channel`` nodes in between."""
     engine = get_engine("sharded", shards=3)
-    plan = engine.compile_pipeline(
-        [("source", {"n": 10}), ("filter", {}), ("join", {"n2": 4}), ("group_by", {})]
+    ops = [
+        ("source", {"n": 10}), ("filter", {}), ("join", {"n2": 4}), ("group_by", {}),
+    ]
+    for padding in ("revealed", "worst_case"):
+        plan = engine.compile_pipeline(ops, padding=padding)
+        assert not plan.nodes_by_op("channel")
+        stages = [node.attr("stage") for node in plan.nodes]
+        assert plan.nodes[0].op == "input" and stages[0] == 0
+        last = 0
+        for stage in (1, 2, 3):
+            indices = [i for i, s in enumerate(stages) if s == stage]
+            assert indices == list(range(indices[0], indices[-1] + 1))
+            assert plan.nodes[indices[0]].inputs == (last,)
+            last = indices[-1]
+        assert plan.nodes[-1].op == "output"
+        assert plan.nodes[-1].inputs == (last,)
+    # A padded filter keeps its input bound, so the join stage is the
+    # standalone padded join plan at (10, 4), node for node.
+    join = get_engine("sharded", shards=3, padding="worst_case").compile_plan(
+        "join", n1=10, n2=4
     )
-    channels = plan.nodes_by_op("channel")
-    assert len(channels) == 3  # one per operator stage
-    assert channels[0].attr("blocks") == 3
-    # The source channel's per-block capacities come from the partition
-    # plan; post-filter channels carry run-time (revealed) sizes.
-    capacity, counts = partition_plan(10, 3)
-    assert channels[0].attr("capacity") == capacity
-    assert channels[0].attr("counts") == tuple(counts)
-    assert channels[1].attr("capacity") is None
-
-
-# -- streaming dispatch overlap ------------------------------------------------
-
-
-class RecordingExecutor:
-    """Inline lazy executor recording dispatch order across task kinds.
-
-    ``imap`` yields one completion at a time, so anything the consuming
-    driver dispatches per completion lands in ``events`` between
-    completions — making the streamed (no-barrier) schedule observable.
-    """
-
-    name = "recording"
-
-    def __init__(self) -> None:
-        self.events: list[tuple[str, str]] = []
-
-    def map(self, task, payloads):
-        return [task(payload) for payload in payloads]
-
-    def imap(self, task, payloads):
-        for index, payload in enumerate(list(payloads)):
-            result = task(payload)
-            self.events.append(("complete", task.__name__))
-            yield index, result
-
-    def submit(self, task, payload):
-        self.events.append(("submit", task.__name__))
-        from repro.plan.executors import _Immediate
-
-        return _Immediate(task(payload))
-
-
-def test_downstream_tasks_dispatch_before_upstream_finishes():
-    """The tentpole property: >= 1 downstream shard task is dispatched
-    *before* the upstream operator publishes its final block — the edge is
-    a streaming channel, not a barrier."""
-    from repro.shard.pipeline import streamed_pipeline
-
-    source, mask, right = PIPELINE_DATASETS[0]
-    executor = RecordingExecutor()
-    streamed_pipeline(
-        _pipeline_chain(source, mask, right), shards=3, executor=executor
-    )
-    events = executor.events
-    filter_completions = [
-        i for i, (kind, task) in enumerate(events)
-        if kind == "complete" and task == "_filter_block_task"
+    assert [node.op for node in plan.nodes if node.attr("stage") == 2] == [
+        node.op for node in join.nodes
     ]
-    sort_submits = [
-        i for i, (kind, task) in enumerate(events)
-        if kind == "submit" and task == "_sort_task"
-    ]
-    assert len(filter_completions) == 3
-    assert sort_submits and sort_submits[0] < filter_completions[-1]
-
-
-def test_join_group_by_edge_streams_partials_per_grid_cell():
-    from repro.shard.pipeline import streamed_pipeline
-
-    source, _, right = PIPELINE_DATASETS[0]
-    executor = RecordingExecutor()
-    streamed_pipeline(
-        [("source", source), ("join", right), ("group_by",)],
-        shards=3,
-        executor=executor,
-    )
-    events = executor.events
-    join_completions = [
-        i for i, (kind, task) in enumerate(events)
-        if kind == "complete" and task == "_join_task"
-    ]
-    aggregate_submits = [
-        i for i, (kind, task) in enumerate(events)
-        if kind == "submit" and task == "_aggregate_task"
-    ]
-    assert len(join_completions) == 9  # the full 3x3 grid
-    assert aggregate_submits and aggregate_submits[0] < join_completions[-1]
 
 
 # -- the CLI plan command -----------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InputError
-from repro.shard.executor import check_workers, run_tasks
+from repro.plan.executors import check_workers, resolve_executor
 from repro.shard.merge import (
     bitonic_merge_two,
     merge_comparator_count,
@@ -125,17 +125,17 @@ def _double(x):
 
 def test_run_tasks_inline_and_pool_agree():
     payloads = list(range(6))
-    inline = run_tasks(_double, payloads, workers=1)
-    pooled = run_tasks(_double, payloads, workers=2)
+    inline = resolve_executor(None, workers=1).map(_double, payloads)
+    pooled = resolve_executor(None, workers=2).map(_double, payloads)
     assert inline == pooled == [0, 2, 4, 6, 8, 10]
 
 
 def test_run_tasks_preserves_payload_order():
-    assert run_tasks(_double, [3, 1, 2], workers=1) == [6, 2, 4]
+    assert resolve_executor(None, workers=1).map(_double, [3, 1, 2]) == [6, 2, 4]
 
 
 def test_worker_validation():
     with pytest.raises(InputError):
         check_workers(0)
     with pytest.raises(InputError):
-        run_tasks(_double, [1], workers=-1)
+        resolve_executor(None, workers=-1)
