@@ -14,12 +14,14 @@ fraction of the total runtime."  Two views:
   the paper's parallelism remark made concrete.  Every row reports which
   *executor* ran the shard tasks, the payload transport the dispatch
   actually took (``none`` for in-process calls, ``shared_memory`` for the
-  pool/async column transport), and the **merge phase** seconds — the
+  pool's column transport), and the **merge phase** seconds — the
   reassembly tail left after grid results stream into the tournament,
   which is the cost the streaming merge exists to shrink.  ``--executor``
-  sweeps executors explicitly (``--executor inline pool async``); without
+  sweeps executors explicitly (``--executor inline pool shuffle``); without
   it each worker count uses the default rule (inline at 1, shared-memory
-  pool above).  ``--json PATH`` writes one machine-readable record per
+  pool above).  Each (executor, workers) row runs one untimed join before
+  the timed one, so it measures steady state rather than pool start-up
+  and first-dispatch costs.  ``--json PATH`` writes one machine-readable record per
   sharded row (total *and* merge-phase seconds, normalised by the vector
   baseline measured in the same run) — the ``BENCH_parallelism.json`` CI
   artifact that ``check_bench_regression.py`` gates, so a regression in
@@ -83,12 +85,16 @@ def run_scaling(
     for name in executors if executors else [None]:
         for workers in workers_list:
             k = shards if shards is not None else max(2, workers)
-            warm_pool(workers)  # measure steady state, not process start-up
             executor = resolve_executor(name, workers=workers)
+
+            def join():
+                return sharded_oblivious_join(
+                    w.left, w.right, shards=k, workers=workers, executor=executor
+                )
+
+            join()  # untimed warm-up: measure steady state, not start-up
             start = time.perf_counter()
-            pairs, stats = sharded_oblivious_join(
-                w.left, w.right, shards=k, workers=workers, executor=executor
-            )
+            pairs, stats = join()
             t_sharded = time.perf_counter() - start
             assert pairs.tolist() == expected.tolist(), "sharded diverges from vector"
             t_merge = stats.seconds_by_phase.get("merge", 0.0)
@@ -316,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=available_executors(),
         help="executors to sweep at every worker count (default: the "
         "worker-derived rule — inline at 1, shared-memory pool above); "
-        "e.g. --executor inline pool async",
+        "e.g. --executor inline pool shuffle",
     )
     parser.add_argument(
         "--json",
@@ -503,17 +509,16 @@ def test_executor_sweep_mode():
     """--executor sweeps every named executor and labels the transport the
     dispatches actually used (not the configured intent)."""
     rows = run_scaling(
-        128, [1, 2], shards=2, seed=2, executors=["inline", "pool", "async"]
+        128, [1, 2], shards=2, seed=2, executors=["inline", "pool", "shuffle"]
     )
     got = {(row[3], row[4]) for row in rows[1:]}
-    # pool/async report the real path: nothing crosses at 1 worker; the
-    # shared-memory column transport above (async no longer pickles).
+    # pool reports the real path: nothing crosses at 1 worker, the
+    # shared-memory column transport above; shuffle always runs in-process.
     assert got == {
         ("inline", "none"),
         ("pool", "none"),
         ("pool", "shared_memory"),
-        ("async", "none"),
-        ("async", "shared_memory"),
+        ("shuffle", "none"),
     }
 
 

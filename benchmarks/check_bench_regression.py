@@ -162,7 +162,7 @@ def compare(
     ``cpus_match=False`` records that the artifact was measured on a
     different core count than the committed baseline.  Worker-scaling rows
     (``workers != 1``) then shift for structural reasons — a 1-core box
-    serialises pool/async overlap that a multi-core box genuinely runs in
+    serialises pool overlap that a multi-core box genuinely runs in
     parallel — so their per-phase gates are skipped outright and their
     total gate is softened to ``2 * factor`` (catching order-of-magnitude
     blow-ups while tolerating the structural shift).  Single-worker rows
@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     # Relative costs normalise out single-core speed, but not *core
     # count*: parallelism records measured on a different number of CPUs
     # than the committed baseline shift for structural reasons (real
-    # pool/async overlap vs none).  Worker-scaling rows therefore get
+    # pool overlap vs none).  Worker-scaling rows therefore get
     # their per-phase gates skipped and their total gate softened when
     # provenance differs (see compare()), on top of the loud warning.
     current_cpus, baseline_cpus = current.get("cpus"), baseline.get("cpus")

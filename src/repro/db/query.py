@@ -13,8 +13,8 @@ filter, order-by — runs on a pluggable execution engine from
 reference, ``engine="vector"`` for the numpy fast path, ``engine="sharded"``
 for the multi-process scale-out path; results are identical).  Engine knobs
 pass straight through — including the sharded engine's execution substrate:
-``ObliviousEngine(engine="sharded", workers=4, executor="pool")`` (or
-``executor="async"``; see :mod:`repro.plan.executors`).
+``ObliviousEngine(engine="sharded", workers=4, executor="pool")`` (see
+:mod:`repro.plan.executors`).
 ``order_by`` is a *stable* sort (original row order breaks ties), which is
 what keeps the permutation identical across engines.
 :meth:`ObliviousEngine.pipeline` compiles a whole operator chain into one

@@ -42,8 +42,8 @@ hides result sizes (including every multiway intermediate, the sharded
     The multi-process scale-out path: inputs split into ``shards`` equal,
     padded, position-based partitions; the public schedule compiled into a
     :class:`~repro.plan.ir.Plan` up front; the vector primitives run per
-    shard on a pluggable *executor* (``executor="inline"|"pool"|"async"``
-    — calling process, shared-memory process pool, or asyncio overlap);
+    shard on a pluggable *executor* (``executor="inline"|"pool"|"shuffle"``
+    — calling process, shared-memory process pool, or shuffled completion);
     a bitonic merge reassembles the result.  Aggregation/GROUP BY/FILTER
     do strictly *less* total comparator work than single-shot vector
     (``k`` smaller networks); the binary join runs a ``shards**2`` task

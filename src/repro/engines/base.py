@@ -13,8 +13,8 @@ a uniform call surface.  Two engines ship in-tree:
 
 Every registered engine must produce identical results on identical inputs
 (`tests/test_engines.py` enforces this differentially), which is what makes
-the registry a safe seam for future backends (sharded, async,
-multi-process) to plug into.
+the registry a safe seam for future backends (sharded, distributed) to
+plug into.
 """
 
 from __future__ import annotations

@@ -29,12 +29,10 @@ Five knobs:
     ``"inline"`` (calling process), ``"pool"`` (persistent process pool
     with shared-memory column transport — shard payloads are not pickled,
     and merge-tournament runs stay cached in shared memory between
-    rounds), ``"async"`` (asyncio overlap of shard compute and result
-    gather, same shared-memory transport), or ``"shuffle"`` (inline
-    compute completing in adversarially shuffled order — the validation
-    substrate for the streaming seam).  Executors cannot change results
-    or leakage, only wall-clock; the executor-parametrised differential
-    suite pins the former.
+    rounds), or ``"shuffle"`` (inline compute completing in adversarially
+    shuffled order — the validation substrate for the streaming seam).
+    Executors cannot change results or leakage, only wall-clock; the
+    executor-parametrised differential suite pins the former.
 ``padding`` / ``bound``
     Padded execution (:mod:`repro.core.padding`).  This engine's extra
     reveals — the join's per-task ``m_ij`` grid, aggregation's per-shard
@@ -46,7 +44,7 @@ Five knobs:
 
 Configured copies come from :func:`repro.engines.get_engine`::
 
-    get_engine("sharded", shards=4, workers=4, executor="async",
+    get_engine("sharded", shards=4, workers=4, executor="pool",
                padding="worst_case")
 
 or equivalently ``ObliviousEngine(engine="sharded", shards=4, workers=4)``

@@ -14,10 +14,9 @@ emergent property into an explicit, testable artifact:
     The pure shard-layout functions (``partition_plan`` et al.) — f(n, k).
 :mod:`~repro.plan.executors`
     Pluggable execution substrates: ``inline``, ``pool`` (shared-memory
-    process pool), ``async`` (asyncio compute/gather overlap), ``shuffle``
-    (adversarial completion order, for validation) — each exposing the
-    ordered-completion seam (``imap``/``submit``) the streaming merge
-    tournament folds through.
+    process pool) and ``shuffle`` (adversarial completion order, for
+    validation) — each implementing the ordered-completion seam
+    (``imap``/``submit``) the streaming merge tournament folds through.
 
 Usage::
 
@@ -45,13 +44,11 @@ from .compile import (
     compile_workload,
 )
 from .executors import (
-    AsyncExecutor,
     Executor,
     InlineExecutor,
     PoolExecutor,
     ShuffleExecutor,
     available_executors,
-    completion_stream,
     executor_stats,
     get_executor,
     host_publish_arrays,
@@ -60,7 +57,6 @@ from .executors import (
     resolve_executor,
     shutdown_pools,
     shutdown_warm_executors,
-    submit_task,
     warm_executor,
     warm_pool,
 )
@@ -69,7 +65,6 @@ from .memo import active_plan_memo, memoised, set_plan_memo
 from .partition import check_shards, partition_plan, shard_capacity, shard_counts
 
 __all__ = [
-    "AsyncExecutor",
     "Executor",
     "InlineExecutor",
     "MergeNode",
@@ -90,7 +85,6 @@ __all__ = [
     "compile_order_by",
     "compile_pipeline",
     "compile_workload",
-    "completion_stream",
     "executor_stats",
     "get_executor",
     "host_publish_arrays",
@@ -104,7 +98,6 @@ __all__ = [
     "shard_counts",
     "shutdown_pools",
     "shutdown_warm_executors",
-    "submit_task",
     "tournament_schedule",
     "warm_executor",
     "warm_pool",

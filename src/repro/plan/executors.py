@@ -2,7 +2,7 @@
 
 A :class:`~repro.plan.ir.Plan` fixes the public schedule — which tasks run
 at which sizes, in which order.  Executors fix the substrate.  The contract
-has two seams::
+is three required methods::
 
     executor.map(task, payloads)  -> list                  # payload order
     executor.imap(task, payloads) -> iter[(index, result)] # completion order
@@ -18,7 +18,9 @@ a barrier.  Consumers must therefore be *arrival-order independent* —
 ``tests/test_streaming_merge.py`` pins that with the adversarial
 ``shuffle`` executor.  ``submit`` dispatches one task (a tournament's
 pairwise merge) and returns a completion whose ``.result()`` blocks.
-Four executors ship in-tree:
+The sharded drivers call ``imap`` and ``submit`` directly, so a new
+substrate (say, a distributed one) implements exactly these three
+methods.  Three executors ship in-tree:
 
 ``inline``
     Runs the task list in the calling process.  Deterministic, fork-free,
@@ -31,12 +33,6 @@ Four executors ship in-tree:
     — the sharded join's ``k x k`` grid references each shard's columns
     ``k`` times, which pickle would serialize ``k`` times per dispatch and
     shared memory writes exactly once.
-``async``
-    An asyncio wrapper that overlaps shard compute with result gather:
-    every payload is dispatched immediately (to the shared process pool —
-    over the same shared-memory transport as ``pool`` — or to threads at
-    ``workers=1``) and results are awaited as they complete, without
-    parking a helper thread per pending result.
 ``shuffle``
     A validation substrate: inline compute, adversarially shuffled
     *completion* order.  It exists to prove (in tests and the CI
@@ -60,7 +56,6 @@ executor-parametrised differential suite pins that bit for bit.
 
 from __future__ import annotations
 
-import asyncio
 import atexit
 import multiprocessing
 import os
@@ -387,7 +382,7 @@ def register_payload_resolver(leaf_type: type, resolve: Callable) -> None:
     """Teach tasks to resolve a custom payload leaf type worker-side.
 
     Storage refs are plain picklable dataclasses, so they pass through
-    :func:`_encode`/:func:`_decode` untouched and cross to pool/async
+    :func:`_encode`/:func:`_decode` untouched and cross to pool
     workers as a few hundred bytes; the *task* then calls
     :func:`resolve_payload` and each ref faults in its own blocks through
     a store handle attached in the worker process — the parent never
@@ -683,89 +678,20 @@ def _published_result_segments(tree) -> set[str]:
     return names
 
 
-def _pool_imap(
-    pool, task: Callable, payloads: Sequence
-) -> Iterator[tuple[int, object]]:
-    """Dispatch a packed batch and yield ``(index, result)`` as they finish.
-
-    One shared-memory arena for the whole batch; per-task completion
-    callbacks push into a thread-safe queue (no helper thread per pending
-    result), and the arena is unlinked once every result is in.
-
-    The error path must not abandon the stragglers: a failing task aborts
-    the stream, but sibling tasks that already completed — or complete
-    while the abort propagates — may have *published* their results
-    (:func:`publish_columns`), and a published segment has no
-    resource-tracker entry until the parent adopts it.  Dropping those
-    results on the floor would leak the segments until reboot, so the
-    abort drains the remaining completions and releases every published
-    segment nobody will ever adopt before re-raising.
-    """
-    segment, encoded = _pack(payloads)
-    results: queue_module.SimpleQueue = queue_module.SimpleQueue()
-    try:
-        for index, payload in enumerate(encoded):
-            pool.apply_async(
-                _run_encoded,
-                ((task, payload),),
-                callback=lambda value, index=index: results.put(
-                    (index, value, None)
-                ),
-                error_callback=lambda error, index=index: results.put(
-                    (index, None, error)
-                ),
-            )
-        pending = len(encoded)
-        failure: BaseException | None = None
-        while pending:
-            index, value, error = results.get()
-            pending -= 1
-            if error is not None:
-                failure = error
-                break
-            yield index, value
-        if failure is not None:
-            orphaned: set[str] = set()
-            while pending:
-                try:
-                    _, value, error = results.get(timeout=60.0)
-                except queue_module.Empty:
-                    break  # a wedged worker; the tracker reclaims at exit
-                pending -= 1
-                if error is None:
-                    orphaned |= _published_result_segments(value)
-            if orphaned:
-                adopt_segments(orphaned)
-                release_segments(orphaned)
-            raise failure
-    finally:
-        if segment is not None:
-            segment.close()
-            segment.unlink()
-
-
-def _pool_submit(pool, task: Callable, payload) -> _PoolCompletion:
-    """Dispatch one task over its own (run-sized) shared-memory segment."""
-    segment, encoded = _pack([payload], run_sized=True)
-    return _PoolCompletion(
-        pool.apply_async(_run_encoded, ((task, encoded[0]),)), segment
-    )
-
-
 # -- executors ---------------------------------------------------------------
 
 
 @runtime_checkable
 class Executor(Protocol):
-    """The execution substrate contract: ordered map over padded payloads.
+    """The execution substrate contract over padded payloads.
 
-    ``transport`` reports how the *last* dispatch's payload bytes reached
-    the compute ("none" for in-process calls, "shared_memory" for the
-    column transport) — before any dispatch it reports the configured
-    default.  ``imap``/``submit`` are optional seams; drivers reach them
-    through :func:`completion_stream` / :func:`submit_task`, which fall
-    back to ordered ``map`` / inline execution for executors that only
-    implement the minimal contract.
+    ``map`` returns results in payload order, ``imap`` yields
+    ``(index, result)`` pairs in completion order, and ``submit`` returns
+    a completion whose ``.result()`` blocks.  All three are required: the
+    sharded drivers call ``imap`` and ``submit`` directly.  ``transport``
+    reports how the *last* dispatch's payload bytes reached the compute
+    ("none" for in-process calls, "shared_memory" for the column
+    transport) — before any dispatch it reports the configured default.
     """
 
     name: str
@@ -774,36 +700,11 @@ class Executor(Protocol):
 
     def map(self, task: Callable, payloads: Sequence) -> list: ...
 
+    def imap(
+        self, task: Callable, payloads: Sequence
+    ) -> Iterator[tuple[int, object]]: ...
 
-def completion_stream(
-    executor, task: Callable, payloads: Sequence
-) -> Iterator[tuple[int, object]]:
-    """Yield ``(index, result)`` pairs as tasks complete.
-
-    The streaming seam the sharded drivers consume: uses the executor's
-    ``imap`` when it has one (completion order — arbitrary, even
-    adversarial), else falls back to ``map`` and yields in payload order.
-    Consumers must not depend on arrival order; the fold they feed must be
-    a pure function of the index space (the compiled bracket).
-    """
-    payloads = list(payloads)
-    imap = getattr(executor, "imap", None)
-    if imap is not None:
-        yield from imap(task, payloads)
-        return
-    for index, result in enumerate(executor.map(task, payloads)):
-        yield index, result
-
-
-def submit_task(executor, task: Callable, payload):
-    """Dispatch one task; returns a completion with ``.result()``.
-
-    Falls back to running inline for executors without ``submit``.
-    """
-    submit = getattr(executor, "submit", None)
-    if submit is not None:
-        return submit(task, payload)
-    return _Immediate(task(payload))
+    def submit(self, task: Callable, payload): ...
 
 
 class InlineExecutor:
@@ -923,6 +824,21 @@ class PoolExecutor:
                 segment.unlink()
 
     def imap(self, task: Callable, payloads: Sequence):
+        """Dispatch a packed batch and yield ``(index, result)`` as they finish.
+
+        One shared-memory arena for the whole batch; per-task completion
+        callbacks push into a thread-safe queue (no helper thread per
+        pending result), and the arena is unlinked once every result is in.
+
+        The error path must not abandon the stragglers: a failing task
+        aborts the stream, but sibling tasks that already completed — or
+        complete while the abort propagates — may have *published* their
+        results (:func:`publish_columns`), and a published segment has no
+        resource-tracker entry until the parent adopts it.  Dropping those
+        results on the floor would leak the segments until reboot, so the
+        abort drains the remaining completions and releases every
+        published segment nobody will ever adopt before re-raising.
+        """
         payloads = list(payloads)
         if len(payloads) <= 1 or self.workers == 1:
             self._last_transport = "none"
@@ -930,172 +846,87 @@ class PoolExecutor:
                 yield index, task(payload)
             return
         self._last_transport = "shared_memory"
-        yield from _pool_imap(_pool(self.workers), task, payloads)
-
-    def submit(self, task: Callable, payload):
-        if self.workers == 1:
-            self._last_transport = "none"
-            return _Immediate(task(payload))
-        self._last_transport = "shared_memory"
-        return _pool_submit(_pool(self.workers), task, payload)
-
-
-class AsyncExecutor:
-    """Asyncio overlap of shard compute and result gather.
-
-    Every payload is dispatched up front; per-task completion callbacks
-    resolve asyncio futures, so results are gathered (and, in a streaming
-    consumer, processed) as they complete rather than after a barrier —
-    without parking a helper thread per pending result (the old
-    ``run_in_executor(None, result.get)`` pattern silently degraded to
-    batched gathers past the default thread cap).  ``workers > 1``
-    dispatches to the shared process pool over the same shared-memory
-    column transport as ``pool`` (payloads are packed once per dispatch,
-    never pickled per task); ``workers = 1`` overlaps on threads, which
-    keeps the executor fork-free for tests and small inputs.
-    """
-
-    name = "async"
-
-    def __init__(self, workers: int = 1) -> None:
-        self.workers = check_workers(workers)
-        self._last_transport: str | None = None
-
-    @property
-    def transport(self) -> str:
-        """Shared memory through the process pool; in-memory at workers=1."""
-        if self.workers == 1:
-            return "none"
-        return self._last_transport or "shared_memory"
-
-    @property
-    def remote_submit(self) -> bool:
-        """See :attr:`PoolExecutor.remote_submit` (POSIX-only publish)."""
-        return self.workers > 1 and os.name == "posix"
-
-    def map(self, task: Callable, payloads: Sequence) -> list:
-        if len(payloads) <= 1:
-            self._last_transport = "none"
-            return [task(payload) for payload in payloads]
-        if self.workers > 1:
-            self._last_transport = "shared_memory"
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            return asyncio.run(self._gather(task, list(payloads)))
-        # Called from inside a running event loop (e.g. a streaming
-        # consumer driving queries from an async app): ``map`` is a
-        # blocking call by contract, and a nested asyncio.run on this
-        # thread would raise, so run the gather on its own loop in a
-        # helper thread and block here.
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(1) as runner:
-            return runner.submit(
-                asyncio.run, self._gather(task, list(payloads))
-            ).result()
-
-    async def _gather(self, task: Callable, payloads: list) -> list:
-        loop = asyncio.get_running_loop()
-        if self.workers == 1:
-            futures = [
-                loop.run_in_executor(None, task, payload)
-                for payload in payloads
-            ]
-            return list(await asyncio.gather(*futures))
+        pool = _pool(self.workers)
         segment, encoded = _pack(payloads)
+        results: queue_module.SimpleQueue = queue_module.SimpleQueue()
         try:
-            pool = _pool(self.workers)
-            futures = []
-            for payload in encoded:
-                future = loop.create_future()
+            for index, payload in enumerate(encoded):
                 pool.apply_async(
                     _run_encoded,
                     ((task, payload),),
-                    callback=lambda value, future=future: _post_to_loop(
-                        loop, future, value, None
+                    callback=lambda value, index=index: results.put(
+                        (index, value, None)
                     ),
-                    error_callback=lambda error, future=future: _post_to_loop(
-                        loop, future, None, error
+                    error_callback=lambda error, index=index: results.put(
+                        (index, None, error)
                     ),
                 )
-                futures.append(future)
-            return list(await asyncio.gather(*futures))
+            pending = len(encoded)
+            failure: BaseException | None = None
+            while pending:
+                index, value, error = results.get()
+                pending -= 1
+                if error is not None:
+                    failure = error
+                    break
+                yield index, value
+            if failure is not None:
+                orphaned: set[str] = set()
+                while pending:
+                    try:
+                        _, value, error = results.get(timeout=60.0)
+                    except queue_module.Empty:
+                        break  # a wedged worker; the tracker reclaims at exit
+                    pending -= 1
+                    if error is None:
+                        orphaned |= _published_result_segments(value)
+                if orphaned:
+                    adopt_segments(orphaned)
+                    release_segments(orphaned)
+                raise failure
         finally:
             if segment is not None:
                 segment.close()
                 segment.unlink()
 
-    def imap(self, task: Callable, payloads: Sequence):
-        payloads = list(payloads)
-        if len(payloads) <= 1:
-            self._last_transport = "none"
-            for index, payload in enumerate(payloads):
-                yield index, task(payload)
-            return
-        if self.workers > 1:
-            self._last_transport = "shared_memory"
-            yield from _pool_imap(_pool(self.workers), task, payloads)
-            return
-        # Thread overlap at workers=1: completion order, no forks.  The
-        # pool is sized to the batch (not the default cpu-derived cap) so
-        # small dispatches don't pay for threads they never use.
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(32, len(payloads))
-        ) as threads:
-            futures = {
-                threads.submit(task, payload): index
-                for index, payload in enumerate(payloads)
-            }
-            for future in concurrent.futures.as_completed(futures):
-                yield futures[future], future.result()
-
     def submit(self, task: Callable, payload):
+        """Dispatch one task over its own (run-sized) shared-memory segment."""
         if self.workers == 1:
+            self._last_transport = "none"
             return _Immediate(task(payload))
         self._last_transport = "shared_memory"
-        return _pool_submit(_pool(self.workers), task, payload)
-
-
-def _post_to_loop(loop, future, value, error) -> None:
-    """Pool-thread half of the apply_async callback handshake.
-
-    Runs on the pool's result-handler thread, so it must never raise: an
-    escaped exception would kill that thread and hang every later dispatch
-    on the shared persistent pool.  A closed loop (the gather already
-    aborted on a sibling task's error) just drops the straggler.
-    """
-    try:
-        loop.call_soon_threadsafe(_resolve_future, future, value, error)
-    except RuntimeError:
-        pass
-
-
-def _resolve_future(future, value, error) -> None:
-    """Loop-thread half of the apply_async callback handshake."""
-    if future.cancelled():
-        return
-    if error is not None:
-        future.set_exception(error)
-    else:
-        future.set_result(value)
+        segment, encoded = _pack([payload], run_sized=True)
+        return _PoolCompletion(
+            _pool(self.workers).apply_async(_run_encoded, ((task, encoded[0]),)),
+            segment,
+        )
 
 
 #: Executor factories by name (the ``--executor`` choices).
 _EXECUTORS: dict[str, type] = {
     InlineExecutor.name: InlineExecutor,
     PoolExecutor.name: PoolExecutor,
-    AsyncExecutor.name: AsyncExecutor,
     ShuffleExecutor.name: ShuffleExecutor,
 }
+
+
+def _check_contract(executor) -> None:
+    """Reject an executor class or instance lacking a required method."""
+    missing = [
+        method
+        for method in ("map", "imap", "submit")
+        if not callable(getattr(executor, method, None))
+    ]
+    if missing:
+        name = getattr(executor, "name", type(executor).__name__)
+        raise InputError(f"executor {name!r} must implement {', '.join(missing)}")
 
 
 def register_executor(factory: type) -> type:
     """Register an executor class under ``factory.name``; returns it."""
     if not getattr(factory, "name", ""):
         raise InputError("executors must carry a non-empty name")
+    _check_contract(factory)
     _EXECUTORS[factory.name] = factory
     return factory
 
@@ -1108,6 +939,7 @@ def available_executors() -> list[str]:
 def get_executor(executor: str | Executor, workers: int = 1) -> Executor:
     """Resolve an executor by name (instances pass straight through)."""
     if not isinstance(executor, str):
+        _check_contract(executor)
         return executor
     try:
         factory = _EXECUTORS[executor]
@@ -1157,7 +989,7 @@ def warm_executor(executor: str | Executor | None, workers: int = 1) -> Executor
     if instance is None:
         instance = get_executor(name, workers=workers)
         _WARM_EXECUTORS[key] = instance
-        if workers > 1 and name in ("pool", "async"):
+        if workers > 1 and name == "pool":
             warm_pool(workers)
     return instance
 

@@ -202,6 +202,10 @@ class ServiceEngine:
 
     def query(self, spec: dict) -> QueryResult:
         """Run one query spec; returns the table plus per-query stats."""
+        if not isinstance(spec, dict):
+            raise InputError(
+                f"a query spec must be a JSON object, got {type(spec).__name__}"
+            )
         op = spec.get("op")
         if op not in QUERY_OPS:
             raise InputError(

@@ -39,7 +39,7 @@ import json
 
 from ..db.schema import Schema
 from ..db.table import DBTable
-from ..errors import ReproError
+from ..errors import InputError, ReproError
 from .engine import ServiceEngine
 
 
@@ -123,6 +123,10 @@ class QueryServer:
             writer.close()
 
     async def _dispatch(self, request: dict) -> dict:
+        if not isinstance(request, dict):
+            raise InputError(
+                f"a request must be a JSON object, got {type(request).__name__}"
+            )
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "pong": True}

@@ -16,7 +16,7 @@ The subsystem behind the ``sharded`` engine (:mod:`repro.engines.sharded`):
     driver compiles its public plan (:mod:`repro.plan.compile`) before
     touching data and consumes the plan's node attributes for all padded
     bounds; tasks dispatch through a pluggable executor
-    (:mod:`repro.plan.executors`: inline / shared-memory pool / async).
+    (:mod:`repro.plan.executors`: inline / shared-memory pool / shuffle).
 
 Operator chains have no driver here: every engine runs them one operator
 at a time (:meth:`repro.engines.base.PaddingOptionsMixin.pipeline`).

@@ -41,7 +41,7 @@ from ..core.aggregate import GroupAggregate
 from ..core.padding import ANCHOR_KEY, check_anchor_headroom
 from ..errors import InputError
 from ..plan.compile import sharded_aggregate_plan
-from ..plan.executors import Executor, completion_stream, resolve_executor
+from ..plan.executors import Executor, resolve_executor
 from ..plan.ir import Plan
 from ..vector.sort import vector_bitonic_sort
 from .partition import partition_pairs, partition_plan
@@ -264,7 +264,7 @@ def _run_sharded_aggregation(
     # ordered-completion seam); the combine's concatenation order — and
     # with it the output — is fixed by shard index, not arrival order.
     results: list[tuple[dict, int] | None] = [None] * len(payloads)
-    for index, value in completion_stream(executor, _aggregate_task, payloads):
+    for index, value in executor.imap(_aggregate_task, payloads):
         results[index] = value
     stats.seconds_by_phase["tasks"] = time.perf_counter() - start
     stats.task_comparisons = [comparisons for _, comparisons in results]

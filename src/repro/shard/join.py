@@ -10,7 +10,7 @@ Pipeline (all public sizes fixed by the compiled plan)::
                sorted position
     partition  ranked left / raw right -> k equal, padded shards each
     grid       run the k*k shard-pair sub-joins on the *executor*
-               (inline / shared-memory pool / async / shuffle), each a
+               (inline / shared-memory pool / shuffle), each a
                full vectorised Algorithm 1 over its (public-size) slice
     merge      fold each sorted (j, rank, d2) run into the streaming
                merge tournament *as its grid task completes* (the
@@ -76,7 +76,6 @@ from ..errors import BoundError, InputError
 from ..plan.compile import sharded_join_plan
 from ..plan.executors import (
     Executor,
-    completion_stream,
     publish_columns,
     resolve_executor,
     resolve_payload,
@@ -246,9 +245,7 @@ def _sharded_rank_sort(
         len(payloads), PRESORT_KEYS, executor=executor, counter=counter
     )
     try:
-        for index, (columns, count) in completion_stream(
-            executor, _sort_task, payloads
-        ):
+        for index, (columns, count) in executor.imap(_sort_task, payloads):
             stats.presort_comparisons[index] = count
             tournament.add(index, columns)
         merged = tournament.result()
@@ -451,9 +448,7 @@ def run_join_grid(
     )
     try:
         if target_m is None:
-            for index, (keyed, comparisons) in completion_stream(
-                executor, _join_task, task_payloads
-            ):
+            for index, (keyed, comparisons) in executor.imap(_join_task, task_payloads):
                 stats.task_comparisons[index] = comparisons
                 stats.task_m[index] = len(keyed)
                 tournament.add(
@@ -461,8 +456,8 @@ def run_join_grid(
                     {"j": keyed[:, 0], "d1": keyed[:, 1], "d2": keyed[:, 2]},
                 )
         else:
-            for index, (run, segment, comparisons, task_real) in completion_stream(
-                executor, _expand_segment_task, task_payloads
+            for index, (run, segment, comparisons, task_real) in executor.imap(
+                _expand_segment_task, task_payloads
             ):
                 if run is None:
                     # The whole cell overflowed its bound; every one of its

@@ -8,7 +8,7 @@ Pipeline (all public sizes fixed by the compiled plan)::
     bottom-up   one ``multiplicity`` executor task per tree edge, grouped
                 by child depth (same-depth edges have no data dependency,
                 so each depth's batch dispatches concurrently through
-                ``completion_stream``); the client applies the alpha
+                ``executor.imap``); the client applies the alpha
                 products between batches
     finalize    client-side vector pass: suffix products + the per-node
                 marker catalogues (:func:`repro.vector.join_tree.finalize_catalogue`)
@@ -47,7 +47,6 @@ from ..errors import InputError
 from ..plan.compile import sharded_join_tree_plan
 from ..plan.executors import (
     Executor,
-    completion_stream,
     publish_columns,
     resolve_executor,
 )
@@ -247,9 +246,7 @@ def sharded_join_tree(
                     edge.band,
                 )
             )
-        for index, (beta, bstart, count) in completion_stream(
-            executor, _edge_task, payloads
-        ):
+        for index, (beta, bstart, count) in executor.imap(_edge_task, payloads):
             e = group[index]
             stats.edge_comparisons[e] = count
             edge_bs[e] = (beta, bstart)
@@ -307,9 +304,7 @@ def sharded_join_tree(
         truncate=slot_space,
     )
     try:
-        for index, (run, segment, count) in completion_stream(
-            executor, _window_task, payloads
-        ):
+        for index, (run, segment, count) in executor.imap(_window_task, payloads):
             stats.window_comparisons[index] = count
             if segment is not None:
                 tournament.add_published(index, run, segment)

@@ -53,11 +53,11 @@ import numpy as np
 from ..errors import InputError
 from ..obliv.bitonic import next_power_of_two
 from ..plan.executors import (
+    InlineExecutor,
     adopt_segments,
     materialize_columns,
     publish_columns,
     release_segments,
-    submit_task,
 )
 from ..plan.ir import tournament_schedule
 from ..vector.sort import Key, lexicographic_greater
@@ -249,20 +249,20 @@ class StreamingTournament:
     comparator count, accumulated into ``counter`` — is bit-identical to
     :func:`oblivious_merge_runs` under every arrival order.
 
-    ``executor`` decides where the merges run: executors exposing
-    ``submit`` get each pairing as a task (overlapping merge work with
-    still-running producers), and when ``executor.remote_submit`` is true
-    the merge outputs are *published* to shared memory so successive
-    rounds hand refs between workers without a parent round-trip; the
-    parent materialises only the final run.  ``executor=None`` folds
-    inline.
+    ``executor`` decides where the merges run: each pairing is one
+    ``submit`` task (overlapping merge work with still-running
+    producers), and when ``executor.remote_submit`` is true the merge
+    outputs are *published* to shared memory so successive rounds hand
+    refs between workers without a parent round-trip; the parent
+    materialises only the final run.  ``executor=None`` folds on an
+    :class:`~repro.plan.executors.InlineExecutor`.
 
     ``truncate`` is the fused expand-truncate bound applied to every input
     run and every merge output (see :func:`oblivious_merge_runs`).
 
     ``seconds`` accumulates the wall-clock this tournament spent inside
     :meth:`add` and :meth:`result` — for inline executors that is the
-    merge work itself (submits run eagerly), for pool/async it is the
+    merge work itself (submits run eagerly), for pool it is the
     dispatch plus the drain wait — so drivers can report a merge phase
     that does not vanish into the task loop on the inline path.
     """
@@ -281,8 +281,8 @@ class StreamingTournament:
         self.keys = list(keys)
         self.counter = counter
         self.truncate = truncate
-        self._executor = executor
-        self._publish = bool(getattr(executor, "remote_submit", False))
+        self._executor = executor if executor is not None else InlineExecutor()
+        self._publish = bool(getattr(self._executor, "remote_submit", False))
         #: child (round, slot) -> the MergeNode consuming it.
         self._up = {}
         for node in tournament_schedule(runs):
@@ -367,7 +367,7 @@ class StreamingTournament:
                 feeds.append(segment)
         key = (node.round, node.slot)
         payload = (left, right, self.keys, self.truncate, self._publish)
-        self._pending[key] = submit_task(self._executor, merge_pair_task, payload)
+        self._pending[key] = self._executor.submit(merge_pair_task, payload)
         self._feeds[key] = feeds
 
     def _collect(self, key: tuple[int, int], completion) -> object:

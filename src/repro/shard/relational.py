@@ -31,7 +31,7 @@ Per-task schedules depend only on the partition plan; the merge schedule
 never on the order tasks happen to finish in.  Both drivers compile their
 public plan (:mod:`repro.plan.compile`) up front, consume the block shapes
 from it, and fold results off the executor's ordered-completion seam
-(:func:`repro.plan.executors.completion_stream`).
+(``executor.imap``, see :mod:`repro.plan.executors`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ import numpy as np
 
 from ..core.padding import DUMMY_HANDLE
 from ..plan.compile import sharded_filter_plan, sharded_order_plan
-from ..plan.executors import Executor, completion_stream, resolve_executor
+from ..plan.executors import Executor, resolve_executor
 from ..vector.relational import order_columns, vector_filter_indices
 from ..vector.sort import vector_bitonic_sort
 from .merge import StreamingTournament
@@ -82,7 +82,7 @@ def sharded_filter_indices(
     # Blocks complete in any order; each lands in its slot by index, so
     # the concatenation below is arrival-order independent.
     results: list[list[int] | None] = [None] * len(payloads)
-    for index, block in completion_stream(executor, _filter_task, payloads):
+    for index, block in executor.imap(_filter_task, payloads):
         results[index] = block
     kept: list[int] = []
     offset = 0
@@ -127,7 +127,7 @@ def sharded_order_permutation(
     ]
     tournament = StreamingTournament(len(payloads), keys, executor=executor)
     try:
-        for index, run in completion_stream(executor, _order_task, payloads):
+        for index, run in executor.imap(_order_task, payloads):
             tournament.add(index, run)
         merged = tournament.result()
     except BaseException:

@@ -11,6 +11,28 @@ from hypothesis import strategies as st
 from repro.memory.tracer import HashSink, ListSink, Tracer
 
 
+def env_subset(variable: str, available: list[str]) -> list[str]:
+    """The registry names a comma-separated environment variable selects.
+
+    The CI matrix restricts engines and executors through ``REPRO_ENGINES``
+    and ``REPRO_EXECUTORS``.  Unset means every registered name; the
+    selection keeps registry order.  An unknown name raises instead of
+    being dropped, so a stale matrix row fails at collection rather than
+    passing without testing anything.
+    """
+    value = os.environ.get(variable)
+    if value is None:
+        return list(available)
+    wanted = {name for name in value.split(",") if name}
+    unknown = sorted(wanted - set(available))
+    if unknown:
+        raise ValueError(
+            f"{variable} names unknown entries {unknown}; "
+            f"available: {', '.join(available)}"
+        )
+    return [name for name in available if name in wanted]
+
+
 def shm_segments() -> set[str]:
     """Names of the live POSIX shared-memory segments (empty off-POSIX)."""
     try:

@@ -8,13 +8,14 @@ A future backend only has to call ``register_engine`` to inherit this
 fuzzing.
 
 The sharded engine additionally runs once per *executor* substrate
-(inline / shared-memory pool / asyncio overlap): executors may only change
+(inline / shared-memory pool / shuffled completion): executors may only change
 wall-clock, never a single output bit, and this suite is what enforces
 that.
 
 ``REPRO_ENGINES`` (comma-separated names) restricts the engine list and
 ``REPRO_EXECUTORS`` the executor list — the CI matrix uses them to
-parametrise the differential job per (engine, executor).
+parametrise the differential job per (engine, executor).  An unknown name
+fails collection (``conftest.env_subset``).
 ``REPRO_STORE=file`` additionally re-routes every binary join's inputs
 through an encrypted, file-backed block store
 (:class:`~repro.store.StorePairs` over per-example ``FileStore``
@@ -30,6 +31,7 @@ import tempfile
 from collections import defaultdict
 
 import pytest
+from conftest import env_subset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,21 +40,12 @@ from repro.engines import ShardedEngine, available_engines, get_engine
 from repro.plan import available_executors
 
 #: Engines under test: the full registry, or the REPRO_ENGINES subset.
-ENGINES = [
-    name
-    for name in available_engines()
-    if name in os.environ.get("REPRO_ENGINES", ",".join(available_engines())).split(",")
-]
+ENGINES = env_subset("REPRO_ENGINES", available_engines())
 
 #: Executor substrates under test (sharded engine only): the full registry,
 #: or the REPRO_EXECUTORS subset.  "inline" is the registry default
 #: configuration, so only the non-default substrates add configurations.
-EXECUTORS = [
-    name
-    for name in available_executors()
-    if name
-    in os.environ.get("REPRO_EXECUTORS", ",".join(available_executors())).split(",")
-]
+EXECUTORS = env_subset("REPRO_EXECUTORS", available_executors())
 
 #: Differential comparisons need >= 2 engines; always keep the oracle's peer.
 REFERENCE = "traced"
@@ -355,3 +348,21 @@ def test_order_permutation_is_stable_and_matches_reference(
     )
     assert permutation == expected
     assert permutation == get_engine(REFERENCE).order_permutation(columns)
+
+
+# -- the CI matrix filter ------------------------------------------------------
+
+
+def test_env_subset_selects_in_registry_order_and_rejects_unknown_names(
+    monkeypatch,
+):
+    registry = ["inline", "pool", "shuffle"]
+    monkeypatch.delenv("REPRO_EXECUTORS", raising=False)
+    assert env_subset("REPRO_EXECUTORS", registry) == registry
+    monkeypatch.setenv("REPRO_EXECUTORS", "shuffle,inline")
+    assert env_subset("REPRO_EXECUTORS", registry) == ["inline", "shuffle"]
+    monkeypatch.setenv("REPRO_EXECUTORS", "")
+    assert env_subset("REPRO_EXECUTORS", registry) == []
+    monkeypatch.setenv("REPRO_EXECUTORS", "inline,async")
+    with pytest.raises(ValueError, match=r"REPRO_EXECUTORS.*\['async'\]"):
+        env_subset("REPRO_EXECUTORS", registry)

@@ -1,5 +1,6 @@
-"""The executor layer: registry, shared-memory transport, async overlap,
-and the contract that substrates cannot change a single output bit."""
+"""The executor layer: registry, shared-memory transport, the
+ordered-completion seam, and the contract that substrates cannot change a
+single output bit."""
 
 from __future__ import annotations
 
@@ -9,15 +10,13 @@ import pytest
 from repro.engines import get_engine
 from repro.errors import InputError
 from repro.plan import (
-    AsyncExecutor,
     InlineExecutor,
     PoolExecutor,
     ShuffleExecutor,
     available_executors,
-    completion_stream,
     get_executor,
+    register_executor,
     resolve_executor,
-    submit_task,
 )
 from repro.plan.executors import (
     _decode,
@@ -28,13 +27,11 @@ from repro.plan.executors import (
     release_segments,
 )
 
-#: One executor of each substrate; pool/async at 2 workers to force the
-#: real dispatch paths (persistent pools are shared across the suite).
+#: One executor of each substrate; pool at 2 workers to force the real
+#: dispatch path (persistent pools are shared across the suite).
 EXECUTOR_PARAMS = [
     pytest.param(InlineExecutor(), id="inline"),
     pytest.param(PoolExecutor(workers=2), id="pool"),
-    pytest.param(AsyncExecutor(workers=2), id="async-pool"),
-    pytest.param(AsyncExecutor(workers=1), id="async-threads"),
     pytest.param(ShuffleExecutor(seed=3), id="shuffle"),
 ]
 
@@ -54,23 +51,40 @@ def _shape_task(payload):
 # -- registry ----------------------------------------------------------------
 
 
-def test_registry_lists_all_four():
-    assert available_executors() == ["async", "inline", "pool", "shuffle"]
+def test_registry_lists_all_three():
+    assert available_executors() == ["inline", "pool", "shuffle"]
 
 
 def test_get_executor_resolves_names_and_rejects_unknown():
     assert get_executor("inline").name == "inline"
     assert get_executor("pool", workers=3).workers == 3
-    instance = AsyncExecutor()
+    instance = ShuffleExecutor()
     assert get_executor(instance) is instance
     with pytest.raises(InputError, match="unknown executor"):
         get_executor("gpu")
+    with pytest.raises(InputError, match="available: inline, pool, shuffle"):
+        get_executor("async")
+
+
+def test_register_executor_requires_imap_and_submit():
+    class MapOnly:
+        name = "maponly"
+        transport = "none"
+
+        def map(self, task, payloads):
+            return [task(p) for p in payloads]
+
+    with pytest.raises(InputError, match="must implement imap, submit"):
+        register_executor(MapOnly)
+    assert "maponly" not in available_executors()
+    with pytest.raises(InputError, match="must implement imap, submit"):
+        get_engine("sharded", executor=MapOnly())
 
 
 def test_resolve_executor_default_rule():
     assert resolve_executor(None, workers=1).name == "inline"
     assert resolve_executor(None, workers=2).name == "pool"
-    assert resolve_executor("async", workers=2).name == "async"
+    assert resolve_executor("shuffle", workers=2).name == "shuffle"
     with pytest.raises(InputError, match="worker count"):
         resolve_executor(None, workers=0)
 
@@ -93,24 +107,6 @@ def test_every_executor_maps_in_payload_order(executor):
     ]
     expected = [_sum_task(payload) for payload in payloads]
     assert executor.map(_sum_task, payloads) == expected
-
-
-def test_async_executor_works_inside_a_running_event_loop():
-    """map() is blocking by contract but must not crash when the caller is
-    already inside asyncio (the streaming-consumer scenario)."""
-    import asyncio
-
-    executor = AsyncExecutor(workers=1)
-    payloads = [
-        ({"j": np.arange(4, dtype=np.int64), "d": np.ones(4, dtype=np.int64)}, 2, [i])
-        for i in range(4)
-    ]
-    expected = [_sum_task(payload) for payload in payloads]
-
-    async def drive():
-        return executor.map(_sum_task, payloads)
-
-    assert asyncio.run(drive()) == expected
 
 
 def test_pool_ships_bool_and_int_columns_faithfully():
@@ -179,28 +175,6 @@ def test_pool_transport_reflects_the_path_taken():
     assert executor.transport == "shared_memory"
 
 
-def test_async_transport_reflects_the_path_taken():
-    assert AsyncExecutor(workers=1).transport == "none"  # threads, in-memory
-    executor = AsyncExecutor(workers=2)
-    assert executor.transport == "shared_memory"  # configured default
-    executor.map(_sum_task, _payloads(1))  # <=1 shortcut runs inline
-    assert executor.transport == "none"
-    executor.map(_sum_task, _payloads(4))
-    assert executor.transport == "shared_memory"
-
-
-def test_async_pool_dispatch_uses_shared_memory_not_pickle():
-    """The workers>1 async path must ship columns through shm like pool:
-    a worker sees a read-only view (pickled arrays come back writable)."""
-    executor = AsyncExecutor(workers=2)
-    payloads = [{"array": np.arange(6, dtype=np.int64) + i} for i in range(4)]
-    results = executor.map(_shape_task, payloads)
-    assert all(result[2] is False for result in results)
-    assert [result[3] for result in results] == [
-        (np.arange(6) + i).tolist() for i in range(4)
-    ]
-
-
 # -- the ordered-completion seam ----------------------------------------------
 
 
@@ -208,41 +182,25 @@ def test_async_pool_dispatch_uses_shared_memory_not_pickle():
 def test_imap_yields_every_result_with_its_index(executor):
     payloads = _payloads(6)
     expected = {index: _sum_task(payload) for index, payload in enumerate(payloads)}
-    got = dict(completion_stream(executor, _sum_task, payloads))
+    got = dict(executor.imap(_sum_task, payloads))
     assert got == expected
 
 
 @pytest.mark.parametrize("executor", EXECUTOR_PARAMS)
 def test_submit_returns_a_blocking_completion(executor):
     payloads = _payloads(3)
-    completions = [submit_task(executor, _sum_task, p) for p in payloads]
+    completions = [executor.submit(_sum_task, p) for p in payloads]
     assert [c.result() for c in completions] == [_sum_task(p) for p in payloads]
 
 
 def test_shuffle_executor_completes_in_adversarial_order():
     executor = ShuffleExecutor(seed=1)
     payloads = _payloads(8)
-    order = [index for index, _ in completion_stream(executor, _sum_task, payloads)]
+    order = [index for index, _ in executor.imap(_sum_task, payloads)]
     assert sorted(order) == list(range(8))
     assert order != list(range(8))  # seed 1 scrambles 8 tasks
     # ... while map still returns payload order (the executor contract).
     assert executor.map(_sum_task, payloads) == [_sum_task(p) for p in payloads]
-
-
-def test_completion_stream_falls_back_to_map_only_executors():
-    class MapOnly:
-        name = "maponly"
-        transport = "none"
-
-        def map(self, task, payloads):
-            return [task(p) for p in payloads]
-
-    payloads = _payloads(4)
-    got = list(completion_stream(MapOnly(), _sum_task, payloads))
-    assert got == [(i, _sum_task(p)) for i, p in enumerate(payloads)]
-    assert submit_task(MapOnly(), _sum_task, payloads[0]).result() == _sum_task(
-        payloads[0]
-    )
 
 
 # -- the cross-dispatch column cache ------------------------------------------
@@ -262,16 +220,12 @@ def _consume_refs_task(payload):
 def test_published_runs_cross_dispatches_without_a_parent_round_trip():
     executor = PoolExecutor(workers=2)
     array = np.arange(10, dtype=np.int64)
-    encoded, segment = submit_task(
-        executor, _publish_task, {"x": array}
-    ).result()
+    encoded, segment = executor.submit(_publish_task, {"x": array}).result()
     assert segment is not None
     adopt_segments([segment])  # crash-safe tracker booking on receipt
     try:
         # The parent holds refs, not bytes; a later dispatch consumes them.
-        total = submit_task(
-            executor, _consume_refs_task, {"run": encoded}
-        ).result()
+        total = executor.submit(_consume_refs_task, {"run": encoded}).result()
         assert total == int((array * 2).sum())
         materialized = materialize_columns(encoded)
         assert materialized["x"].tolist() == (array * 2).tolist()
@@ -296,7 +250,7 @@ MASK = [k % 3 != 0 for k in range(40)]
 COLUMNS = [([j for j, _ in LEFT], False)]
 
 
-@pytest.mark.parametrize("executor", ["inline", "pool", "async", "shuffle"])
+@pytest.mark.parametrize("executor", ["inline", "pool", "shuffle"])
 def test_every_workload_is_bit_identical_across_executors(executor):
     """The acceptance contract: executors change wall-clock, not outputs."""
     reference = get_engine("vector")
@@ -312,7 +266,7 @@ def test_every_workload_is_bit_identical_across_executors(executor):
     assert engine.order_permutation(COLUMNS) == reference.order_permutation(COLUMNS)
 
 
-@pytest.mark.parametrize("executor", ["inline", "pool", "async", "shuffle"])
+@pytest.mark.parametrize("executor", ["inline", "pool", "shuffle"])
 def test_padded_workloads_match_across_executors(executor):
     reference = get_engine("traced", padding="worst_case")
     engine = get_engine(
@@ -329,10 +283,10 @@ def test_padded_workloads_match_across_executors(executor):
 
 
 def test_engine_executor_option_roundtrip():
-    engine = get_engine("sharded", executor="async", workers=2, shards=3)
-    assert engine.executor.name == "async"
+    engine = get_engine("sharded", executor="shuffle", workers=2, shards=3)
+    assert engine.executor.name == "shuffle"
     copy = engine.with_options(workers=4)
-    assert copy.executor.name == "async" and copy.workers == 4
+    assert copy.executor.name == "shuffle" and copy.workers == 4
     repadded = engine.with_options(executor="pool")
     assert repadded.executor.name == "pool"
     assert "executor" in type(engine).OPTIONS
@@ -341,6 +295,8 @@ def test_engine_executor_option_roundtrip():
 def test_engine_rejects_unknown_executor():
     with pytest.raises(InputError, match="unknown executor"):
         get_engine("sharded", executor="gpu")
+    with pytest.raises(InputError, match="available: inline, pool, shuffle"):
+        get_engine("sharded", executor="async")
     with pytest.raises(InputError, match="engine options"):
         get_engine("vector", executor="pool")
 
@@ -353,7 +309,7 @@ def test_db_layer_threads_executor_through():
     schema = Schema.of("k:int", "v:int")
     left = DBTable(schema, [(k % 3, k) for k in range(9)])
     right = DBTable(Schema.of("k:int", "w:int"), [(k % 3, 10 * k) for k in range(9)])
-    sharded = ObliviousEngine(engine="sharded", executor="async", shards=2)
+    sharded = ObliviousEngine(engine="sharded", executor="shuffle", shards=2)
     plain = ObliviousEngine(engine="traced")
     assert (
         sharded.join(left, right, on=("k", "k")).rows
@@ -371,10 +327,23 @@ def test_cli_join_accepts_executor_flag(tmp_path, capsys):
     assert (
         main(
             ["join", str(left), str(right), "--left-on", "k", "--right-on", "k",
-             "--engine", "sharded", "--executor", "async"]
+             "--engine", "sharded", "--executor", "shuffle"]
         )
         == 0
     )
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "l.k,v,r.k,w"
     assert len(out.splitlines()) == 3
+
+
+def test_cli_join_rejects_a_removed_executor(tmp_path, capsys):
+    left = tmp_path / "left.csv"
+    left.write_text("k,v\n1,10\n", encoding="utf-8")
+    from repro.cli import main
+
+    with pytest.raises(SystemExit):
+        main(["join", str(left), str(left), "--left-on", "k", "--right-on", "k",
+              "--engine", "sharded", "--executor", "async"])
+    err = capsys.readouterr().err
+    assert "invalid choice: 'async'" in err
+    assert "'inline', 'pool', 'shuffle'" in err

@@ -19,7 +19,6 @@ from repro.engines import get_engine
 from repro.errors import BoundError, InputError
 from repro.plan.compile import sharded_join_plan
 from repro.plan.executors import (
-    AsyncExecutor,
     InlineExecutor,
     PoolExecutor,
     ShuffleExecutor,
@@ -153,11 +152,7 @@ def test_sharded_segmented_join_matches_the_vector_oracle(executor, segments):
 
 
 @pytest.mark.parametrize(
-    "executor",
-    [
-        pytest.param(PoolExecutor(workers=2), id="pool"),
-        pytest.param(AsyncExecutor(workers=2), id="async"),
-    ],
+    "executor", [pytest.param(PoolExecutor(workers=2), id="pool")]
 )
 def test_segmented_join_publishes_runs_on_remote_executors(executor):
     """Shared-memory substrates exercise the publish path: each segment
@@ -277,7 +272,6 @@ def test_skewed_cell_expansion_dispatches_as_separate_segment_tasks():
         pytest.param(InlineExecutor(), id="inline"),
         pytest.param(ShuffleExecutor(seed=1), id="shuffle"),
         pytest.param(PoolExecutor(workers=2), id="pool"),
-        pytest.param(AsyncExecutor(workers=2), id="async"),
     ],
 )
 @pytest.mark.parametrize("target", [None, 7 * 6], ids=["revealed", "padded"])

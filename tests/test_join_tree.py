@@ -22,10 +22,10 @@ exactly as in ``test_engine_properties.py`` — the CI
 from __future__ import annotations
 
 import itertools
-import os
 
 import numpy as np
 import pytest
+from conftest import env_subset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -36,18 +36,9 @@ from repro.plan.compile import compile_join_tree
 from repro.shard.join_tree import ShardedJoinTreeStats, sharded_join_tree
 from repro.shard.merge import merge_comparator_count
 
-ENGINES = [
-    name
-    for name in available_engines()
-    if name in os.environ.get("REPRO_ENGINES", ",".join(available_engines())).split(",")
-]
+ENGINES = env_subset("REPRO_ENGINES", available_engines())
 
-EXECUTORS = [
-    name
-    for name in available_executors()
-    if name
-    in os.environ.get("REPRO_EXECUTORS", ",".join(available_executors())).split(",")
-]
+EXECUTORS = env_subset("REPRO_EXECUTORS", available_executors())
 
 REFERENCE = "traced"
 

@@ -4,7 +4,7 @@ Every engine runs a pipeline one operator at a time, and the result must
 be *bit-identical* to the traced reference on every engine x executor x
 padding configuration — including when shard tasks complete in
 adversarial order (the ``shuffle`` executor) and when their columns
-travel through shared memory (the ``pool``/``async`` executors).
+travel through shared memory (the ``pool`` executor).
 Hypothesis drives whole chains — filter -> join, join -> group_by,
 filter -> multiway -> order_by — through every configuration, and a seed
 sweep pins that the shuffled completion order changes neither the output
@@ -17,27 +17,17 @@ parametrise the pipeline differential job per (engine, executor).
 
 from __future__ import annotations
 
-import os
-
 import pytest
+from conftest import env_subset
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.engines import ShardedEngine, available_engines, get_engine
 from repro.plan import ShuffleExecutor, available_executors
 
-ENGINES = [
-    name
-    for name in available_engines()
-    if name in os.environ.get("REPRO_ENGINES", ",".join(available_engines())).split(",")
-]
+ENGINES = env_subset("REPRO_ENGINES", available_engines())
 
-EXECUTORS = [
-    name
-    for name in available_executors()
-    if name
-    in os.environ.get("REPRO_EXECUTORS", ",".join(available_executors())).split(",")
-]
+EXECUTORS = env_subset("REPRO_EXECUTORS", available_executors())
 
 REFERENCE = "traced"
 

@@ -381,6 +381,12 @@ class CapturingExecutor:
         self.result_lengths.append([len(r) for r in results])
         return results
 
+    def imap(self, task, payloads):
+        yield from enumerate(self.map(task, payloads))
+
+    def submit(self, task, payload):
+        raise AssertionError("the filter driver never submits")
+
 
 @pytest.mark.parametrize(
     "mask",

@@ -10,6 +10,8 @@ executors, and concurrent admission.
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 
 import pytest
@@ -332,6 +334,8 @@ def test_service_rejects_unknown_ops_and_tables():
     with ServiceEngine() as service:
         with pytest.raises(InputError, match="unknown query op"):
             service.query({"op": "drop_table"})
+        with pytest.raises(InputError, match="must be a JSON object"):
+            service.query(5)
         with pytest.raises(InputError, match="unknown table"):
             service.query(
                 {"op": "join", "left": "l", "right": "r", "on": ["k", "k"]}
@@ -465,6 +469,26 @@ def test_server_roundtrip_with_warm_hit_on_second_query():
                 client.query({"op": "join", "left": "nope", "right": "r",
                               "on": ["k", "k"]})
             client.shutdown()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [b"[]", b"3", b'{"op": "query", "spec": 5}'],
+    ids=["array", "number", "non-object-spec"],
+)
+def test_server_answers_malformed_requests_and_keeps_the_connection(line):
+    with _ServerThread(ServiceEngine(engine="vector")) as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=30) as sock:
+            replies = sock.makefile("rb")
+            sock.sendall(line + b"\n")
+            error = json.loads(replies.readline())
+            assert error["ok"] is False
+            assert error["kind"] == "InputError"
+            assert "JSON object" in error["error"]
+            sock.sendall(b'{"op": "ping"}\n')
+            assert json.loads(replies.readline()) == {"ok": True, "pong": True}
+            sock.sendall(b'{"op": "shutdown"}\n')
+            assert json.loads(replies.readline())["bye"] is True
 
 
 def test_server_registration_replaces_and_invalidates():
